@@ -102,29 +102,9 @@ func compileTrivialBench(app string) func(b *testing.B) {
 	}
 }
 
-// compileParallelBench is compileBench with intra-compile parallelism: the
-// trivial production pass and the reverse-prep build overlap the SABRE
-// chain. Compare against compile/<app> — the output is byte-identical, only
-// the wall clock moves (and only when GOMAXPROCS grants real cores).
-func compileParallelBench(app string, parallelism int) func(b *testing.B) {
-	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		opts := mussti.DefaultOptions()
-		opts.Parallelism = parallelism
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // compileBatchBench compiles `variants` look-ahead sweeps of one circuit
-// through CompileBatch: one shared prep, one bounded worker group. Compare
-// ns/op against variants × compile/<app> to see the shared-prep and fan-out
-// saving.
+// through CompileBatch: one shared prep replayed for every variant. Compare
+// ns/op against variants × compile/<app> to see the shared-prep saving.
 func compileBatchBench(app string, nvariants int) func(b *testing.B) {
 	return func(b *testing.B) {
 		c := bench.MustByName(app)
@@ -191,7 +171,7 @@ func distBench(pipeline int) func(b *testing.B) {
 
 func main() {
 	out := flag.String("o", "BENCH_compile.json", `output path ("-" for stdout)`)
-	maxprocs := flag.Int("gomaxprocs", 4, "GOMAXPROCS to measure at (the parallel entries need >1; 0 = leave the runtime default)")
+	maxprocs := flag.Int("gomaxprocs", 4, "GOMAXPROCS to measure at (the dist entries' concurrent submitters need >1; 0 = leave the runtime default)")
 	worker := flag.Bool("worker", false, "run as a dist worker process for the dist/* entries (spawned by benchjson itself, not for direct use)")
 	flag.Parse()
 	if *worker {
@@ -212,7 +192,6 @@ func main() {
 		measure("compile/QFT_n32", compileBench("QFT_n32")),
 		measure("compile/QFT_n32-trivialmap", compileTrivialBench("QFT_n32")),
 		measure("compile/SQRT_n299", compileBench("SQRT_n299")),
-		measure("compile-parallel/SQRT_n299", compileParallelBench("SQRT_n299", 2)),
 		measure("compilebatch/QFT_n32x8", compileBatchBench("QFT_n32", 8)),
 		measure("dist/roundtrip", distBench(1)),
 		measure("dist/pipelined", distBench(4)),

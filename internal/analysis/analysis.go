@@ -14,8 +14,8 @@
 //     keyed literals only, schema changes force a checksum + version bump);
 //   - leakcheck: goroutines in internal/{core,eval,dist} must carry a
 //     completion signal, and channel loops must select on ctx.Done;
-//   - sempair: semaphore acquire/release and slot borrow/return must pair
-//     on every control-flow path.
+//   - sempair: semaphore acquire/release must pair on every control-flow
+//     path.
 //
 // On top of the AST passes sits a compiler-feedback tier (compilerfacts.go,
 // perfbudget.go): one `go build` with escape-analysis, inlining and

@@ -7,9 +7,9 @@ import (
 	"strings"
 )
 
-// leakcheckScope names the package-path fragments the pass covers: the PR 7
-// concurrency machinery (worker pools, batch fan-out, the process fleet) and
-// the pass's own fixtures. cmd/ entry points are excluded deliberately —
+// leakcheckScope names the package-path fragments the pass covers: the
+// compiler and the concurrency machinery around it (the worker pool, the
+// process fleet) and the pass's own fixtures. cmd/ entry points are excluded deliberately —
 // their goroutines live for the process and are reaped by exit.
 var leakcheckScope = []string{
 	"internal/core",

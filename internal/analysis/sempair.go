@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -13,25 +12,16 @@ import (
 // worker-pool semaphore never oversubscribes and never loses capacity. It
 // abstractly interprets every function (and function literal) over all
 // control-flow paths — if/else, loops to a fixpoint, switch, select per comm
-// clause, defer, break/continue/return — tracking two balances:
-//
-//   - semaphore slots: a send on a channel whose name is semaphore-like
-//     ("sem", "semCh", "workerSem", ...) or a call to a method named Acquire
-//     acquires one; the matching receive or a Release call releases it.
-//     Every path to an exit must end with balance zero: a positive balance
-//     is a slot leaked (the pool shrinks forever), a negative one is an
-//     over-release (the pool oversubscribes).
-//   - borrowed slots: v := x.borrowSlots(n) creates a live borrow bound to
-//     v; x.releaseSlots(v) returns it. A path that exits with a live borrow,
-//     or discards the borrowSlots result, can never return the slots.
-//
-// The two blessed low-level primitives themselves (borrowSlots exits holding
-// what it hands the caller; releaseSlots drains on the caller's behalf) are
-// intentionally unbalanced and carry //mussti:allow=sempair directives —
-// every other unbalanced path is a bug. Functions using goto are skipped.
+// clause, defer, break/continue/return — tracking the semaphore balance: a
+// send on a channel whose name is semaphore-like ("sem", "semCh",
+// "workerSem", ...) or a call to a method named Acquire acquires one slot;
+// the matching receive or a Release call releases it. Every path to an exit
+// must end with balance zero: a positive balance is a slot leaked (the pool
+// shrinks forever), a negative one is an over-release (the pool
+// oversubscribes). Functions using goto are skipped.
 var SempairAnalyzer = &Analyzer{
 	Name: "sempair",
-	Doc:  "flags semaphore acquire/release and slot borrow/return imbalances on any control-flow path",
+	Doc:  "flags semaphore acquire/release imbalances on any control-flow path",
 	Run:  runSempair,
 }
 
@@ -88,25 +78,15 @@ func runSempair(pass *Pass) error {
 // --- abstract state ---------------------------------------------------------
 
 // semState is one abstract execution state: the positions of semaphore
-// acquires not yet released on this path, and the live borrowSlots tokens
-// (variable -> borrow position).
+// acquires not yet released on this path.
 type semState struct {
 	acquires []token.Pos
-	borrows  map[*types.Var]token.Pos
 }
 
 func (st semState) key() string {
 	var b strings.Builder
 	for _, p := range st.acquires {
 		fmt.Fprintf(&b, "a%d,", p)
-	}
-	ps := make([]int, 0, len(st.borrows))
-	for _, p := range st.borrows { //mussti:allow=determinism positions are sorted before use
-		ps = append(ps, int(p))
-	}
-	sort.Ints(ps)
-	for _, p := range ps {
-		fmt.Fprintf(&b, "b%d,", p)
 	}
 	return b.String()
 }
@@ -124,30 +104,6 @@ func (st semState) withAcquire(pos token.Pos) semState {
 
 func (st semState) withRelease() semState {
 	st.acquires = st.acquires[:len(st.acquires)-1]
-	return st
-}
-
-func (st semState) withBorrow(v *types.Var, pos token.Pos) semState {
-	next := make(map[*types.Var]token.Pos, len(st.borrows)+1)
-	for k, p := range st.borrows {
-		next[k] = p
-	}
-	next[v] = pos
-	st.borrows = next
-	return st
-}
-
-func (st semState) withReturnedBorrow(v *types.Var) semState {
-	if _, live := st.borrows[v]; !live {
-		return st
-	}
-	next := make(map[*types.Var]token.Pos, len(st.borrows))
-	for k, p := range st.borrows {
-		if k != v {
-			next[k] = p
-		}
-	}
-	st.borrows = next
 	return st
 }
 
@@ -176,15 +132,11 @@ type semOpKind int
 const (
 	opAcquire semOpKind = iota
 	opRelease
-	opBorrow        // tok is the bound variable
-	opBorrowDropped // borrowSlots result not bound to a variable
-	opReturnBorrow  // tok may be nil (untracked argument: no effect)
 )
 
 type semOp struct {
 	kind semOpKind
 	pos  token.Pos
-	tok  *types.Var
 }
 
 // semFlows accumulates the states that left the normal fall-through path.
@@ -251,9 +203,6 @@ func (in *semInterp) checkScope(body *ast.BlockStmt) {
 		for _, pos := range st.acquires {
 			in.reportOnce(pos, "semaphore slot acquired here is not released on every path to an exit: the pool loses capacity")
 		}
-		for _, pos := range st.borrows { //mussti:allow=determinism reportOnce dedups by position and the checker sorts findings positionally
-			in.reportOnce(pos, "slots borrowed here are not returned via releaseSlots on every path to an exit")
-		}
 	}
 }
 
@@ -277,7 +226,7 @@ func (in *semInterp) scanScope(body *ast.BlockStmt) (touches, hasGoto bool) {
 				touches = true
 			}
 		case *ast.CallExpr:
-			if in.callKind(n) >= 0 {
+			if _, ok := in.callOp(n); ok {
 				touches = true
 			}
 		}
@@ -310,28 +259,21 @@ func (in *semInterp) isSemChan(e ast.Expr) bool {
 	return isChan
 }
 
-// callKind classifies a call: 0 = Acquire, 1 = Release, 2 = borrowSlots,
-// 3 = releaseSlots, -1 = not semaphore traffic. Acquire/Release must be
-// method calls (a package-level function named Release is not a semaphore).
-func (in *semInterp) callKind(call *ast.CallExpr) int {
+// callOp classifies a call as an Acquire or Release method call, the two
+// semaphore-shaped calls (a package-level function named Release is not a
+// semaphore).
+func (in *semInterp) callOp(call *ast.CallExpr) (semOpKind, bool) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return -1
-	}
-	if in.pass.TypesInfo.Selections[sel] == nil {
-		return -1
+	if !ok || in.pass.TypesInfo.Selections[sel] == nil {
+		return 0, false
 	}
 	switch sel.Sel.Name {
 	case "Acquire":
-		return 0
+		return opAcquire, true
 	case "Release":
-		return 1
-	case "borrowSlots":
-		return 2
-	case "releaseSlots":
-		return 3
+		return opRelease, true
 	}
-	return -1
+	return 0, false
 }
 
 // nodeOps extracts the semaphore effects of one statement or expression in
@@ -354,15 +296,8 @@ func (in *semInterp) nodeOps(n ast.Node) []semOp {
 				ops = append(ops, semOp{kind: opRelease, pos: x.OpPos})
 			}
 		case *ast.CallExpr:
-			switch in.callKind(x) {
-			case 0:
-				ops = append(ops, semOp{kind: opAcquire, pos: x.Pos()})
-			case 1:
-				ops = append(ops, semOp{kind: opRelease, pos: x.Pos()})
-			case 2:
-				ops = append(ops, semOp{kind: opBorrowDropped, pos: x.Pos()})
-			case 3:
-				ops = append(ops, semOp{kind: opReturnBorrow, pos: x.Pos(), tok: in.argVar(x)})
+			if kind, ok := in.callOp(x); ok {
+				ops = append(ops, semOp{kind: kind, pos: x.Pos()})
 			}
 		}
 		return true
@@ -370,26 +305,9 @@ func (in *semInterp) nodeOps(n ast.Node) []semOp {
 	return ops
 }
 
-// argVar resolves a call's single argument to a variable, or nil.
-func (in *semInterp) argVar(call *ast.CallExpr) *types.Var {
-	if len(call.Args) != 1 {
-		return nil
-	}
-	id, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	v, _ := in.pass.TypesInfo.Uses[id].(*types.Var)
-	return v
-}
-
 // applyOps threads one effect list through every state.
 func (in *semInterp) applyOps(ops []semOp, states []semState) []semState {
 	for _, op := range ops {
-		if op.kind == opBorrowDropped {
-			in.reportOnce(op.pos, "borrowSlots result is discarded: the borrowed slots can never be returned")
-			continue
-		}
 		out := states[:0:0]
 		for _, st := range states {
 			switch op.kind {
@@ -401,10 +319,6 @@ func (in *semInterp) applyOps(ops []semOp, states []semState) []semState {
 				} else {
 					st = st.withRelease()
 				}
-			case opReturnBorrow:
-				if op.tok != nil {
-					st = st.withReturnedBorrow(op.tok)
-				}
 			}
 			out = append(out, st)
 		}
@@ -413,69 +327,12 @@ func (in *semInterp) applyOps(ops []semOp, states []semState) []semState {
 	return states
 }
 
-// applyNode applies a statement or expression's effects, special-casing
-// borrow bindings (v := x.borrowSlots(n) and var v = x.borrowSlots(n)) so
-// the token attaches to the assigned variable instead of being reported as
-// dropped.
+// applyNode applies a statement or expression's effects.
 func (in *semInterp) applyNode(n ast.Node, states []semState) []semState {
 	if n == nil {
 		return states
 	}
-	if lhs, call, ok := in.borrowBinding(n); ok {
-		for _, a := range call.Args {
-			states = in.applyNode(a, states)
-		}
-		v := in.lhsVar(lhs)
-		if v == nil {
-			// Bound to a blank or untrackable target: can't follow it; the
-			// result is still reachable, so stay silent rather than guess.
-			return states
-		}
-		out := states[:0:0]
-		for _, st := range states {
-			if _, live := st.borrows[v]; live {
-				in.reportOnce(call.Pos(), "borrowSlots overwrites %s while previously borrowed slots are still unreturned", v.Name())
-			}
-			out = append(out, st.withBorrow(v, call.Pos()))
-		}
-		return mergeStates(nil, out)
-	}
 	return in.applyOps(in.nodeOps(n), states)
-}
-
-// borrowBinding matches `lhs = x.borrowSlots(n)`, `lhs := ...` and
-// `var lhs = ...` forms with a single target.
-func (in *semInterp) borrowBinding(n ast.Node) (ast.Expr, *ast.CallExpr, bool) {
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		if len(n.Lhs) == 1 && len(n.Rhs) == 1 {
-			if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok && in.callKind(call) == 2 {
-				return n.Lhs[0], call, true
-			}
-		}
-	case *ast.DeclStmt:
-		if gd, ok := n.Decl.(*ast.GenDecl); ok && len(gd.Specs) == 1 {
-			if vs, ok := gd.Specs[0].(*ast.ValueSpec); ok && len(vs.Names) == 1 && len(vs.Values) == 1 {
-				if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok && in.callKind(call) == 2 {
-					return vs.Names[0], call, true
-				}
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// lhsVar resolves an assignment target to its variable, or nil.
-func (in *semInterp) lhsVar(lhs ast.Expr) *types.Var {
-	id, ok := ast.Unparen(lhs).(*ast.Ident)
-	if !ok || id.Name == "_" {
-		return nil
-	}
-	if v, ok := in.pass.TypesInfo.Defs[id].(*types.Var); ok {
-		return v
-	}
-	v, _ := in.pass.TypesInfo.Uses[id].(*types.Var)
-	return v
 }
 
 // isPanicCall matches a statement that unconditionally unwinds.

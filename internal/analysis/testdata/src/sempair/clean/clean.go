@@ -1,16 +1,10 @@
 // Package clean is the sempair analyzer's positive fixture: balanced
-// semaphore and borrow traffic across branches, loops, selects and defers,
-// plus allow-directive coverage for the two deliberately unbalanced
-// primitive shapes.
+// semaphore traffic across branches, loops, selects and defers.
 package clean
 
 import "context"
 
 type pool struct{ sem chan struct{} }
-
-func (p *pool) borrowSlots(n int) int { return n }
-
-func (p *pool) releaseSlots(n int) { _ = n }
 
 // balanced pairs acquire and release on the straight path.
 func balanced(p *pool, work func()) {
@@ -52,39 +46,5 @@ func worker(ctx context.Context, p *pool, jobs []func()) {
 		}
 		j()
 		<-p.sem
-	}
-}
-
-// borrower returns everything it borrowed on both paths (extra may be zero:
-// releasing an unborrowed count is the no-op contract).
-func borrower(p *pool, boost bool, work func(int)) {
-	extra := 0
-	if boost {
-		extra = p.borrowSlots(2)
-	}
-	work(1 + extra)
-	p.releaseSlots(extra)
-}
-
-// prim mirrors eval's blessed unbalanced helpers: the imbalance is the
-// contract, documented by the allow directives.
-type prim struct{ sem chan struct{} }
-
-func (p *prim) grab(n int) int {
-	got := 0
-	for got < n {
-		select {
-		case p.sem <- struct{}{}: //mussti:allow=sempair the claimed slots are handed to the caller, who returns them via put
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-func (p *prim) put(n int) {
-	for ; n > 0; n-- {
-		<-p.sem //mussti:allow=sempair returns slots the caller claimed via grab
 	}
 }

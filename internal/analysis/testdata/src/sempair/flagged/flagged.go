@@ -1,15 +1,9 @@
-// Package flagged is the sempair analyzer's negative fixture: semaphore and
-// slot-borrow traffic that goes unbalanced on at least one control-flow
-// path.
+// Package flagged is the sempair analyzer's negative fixture: semaphore
+// traffic that goes unbalanced on at least one control-flow path.
 package flagged
 
-// pool is a counting semaphore with borrowable slots, shaped like eval's
-// Runner. The borrow/release stubs only exist to give the calls types.
+// pool is a counting semaphore shaped like eval's Runner.
 type pool struct{ sem chan struct{} }
-
-func (p *pool) borrowSlots(n int) int { return n }
-
-func (p *pool) releaseSlots(n int) { _ = n }
 
 // leak acquires and never releases.
 func leak(p *pool) {
@@ -28,29 +22,6 @@ func earlyReturn(p *pool, fail bool) {
 		return
 	}
 	<-p.sem
-}
-
-// dropped discards the borrowed slot count.
-func dropped(p *pool) {
-	p.borrowSlots(2) // want `discarded`
-}
-
-// lostBorrow returns without releasing its borrow on one path.
-func lostBorrow(p *pool, fail bool) int {
-	got := p.borrowSlots(2) // want `not returned via releaseSlots on every path`
-	if fail {
-		return 0
-	}
-	p.releaseSlots(got)
-	return got
-}
-
-// overwritten re-borrows into the same variable while the first borrow is
-// still live, losing its count.
-func overwritten(p *pool) {
-	got := p.borrowSlots(1)
-	got = p.borrowSlots(1) // want `while previously borrowed slots are still unreturned`
-	p.releaseSlots(got)
 }
 
 // gate carries semaphore-shaped methods.

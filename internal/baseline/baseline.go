@@ -171,7 +171,7 @@ func CompileContext(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *
 		return nil, err
 	}
 	//mussti:allow=determinism CompileTime is reporting metadata, never schedule input
-	return &Result{Metrics: r.eng.Metrics(), CompileTime: time.Since(start), Trace: r.eng.Trace()}, nil
+	return &Result{Metrics: r.eng.Metrics(), CompileTime: time.Since(start), InitialMapping: r.home, Trace: r.eng.Trace()}, nil
 }
 
 // gridRouter is shared scheduling state for all three baselines.
@@ -190,7 +190,7 @@ type gridRouter struct {
 	lastUsed []int64
 	clock    int64
 	executed int   // two-qubit gates done, for Observer ticks
-	home     []int // MQT: each qubit's home trap
+	home     []int // each qubit's start trap (MQT also returns ions there)
 
 	// trapScratch is the reused buffer of futurePartnerTraps (Dai's
 	// look-ahead destination choice, run once per routed gate).

@@ -79,13 +79,19 @@ var kindByName = func() map[string]Kind {
 	return m
 }()
 
+// maxQASMLine caps one source line. The scanner's buffer starts small and
+// grows only as far as the longest line needs, so parsing allocates in
+// proportion to the input rather than a fixed megabyte per call.
+const maxQASMLine = 1 << 20
+
 // ParseQASM reads a subset of OpenQASM 2.0 sufficient for QASMBench-style
 // benchmark files: one qreg, optional cregs, the qelib1 standard gates, and
 // ccx (lowered to the Toffoli decomposition). Gate definitions, conditionals
-// and loops are not supported and yield an error.
+// and loops are not supported and yield an error, as does a line longer than
+// 1 MiB.
 func ParseQASM(name string, r io.Reader) (*Circuit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxQASMLine)
 	c := &Circuit{Name: name}
 	lineNo := 0
 	for sc.Scan() {

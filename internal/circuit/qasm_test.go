@@ -1,8 +1,12 @@
 package circuit
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -235,5 +239,39 @@ func TestParseQASMMultipleStatementsPerLine(t *testing.T) {
 	}
 	if len(c.Gates) != 2 {
 		t.Errorf("gates = %d, want 2", len(c.Gates))
+	}
+}
+
+func TestParseQASMLineCap(t *testing.T) {
+	long := "qreg q[2];\n// " + strings.Repeat("x", 200<<10) + "\ncx q[0],q[1];\n"
+	if _, err := ParseQASM("long", strings.NewReader(long)); err != nil {
+		t.Fatalf("200 KiB line rejected: %v", err)
+	}
+	tooLong := "qreg q[2];\n// " + strings.Repeat("x", maxQASMLine) + "\ncx q[0],q[1];\n"
+	if _, err := ParseQASM("toolong", strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("err = %v, want bufio.ErrTooLong for a line over 1 MiB", err)
+	}
+}
+
+// TestParseQASMAllocatesWithInput pins that parsing a small source allocates
+// in proportion to it, not a fixed line buffer per call.
+func TestParseQASMAllocatesWithInput(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[40];\n")
+	for i := 0; b.Len() < 2000; i++ {
+		fmt.Fprintf(&b, "cx q[%d],q[%d];\n", i%40, (i+1)%40)
+	}
+	src := b.String()
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ParseQASM("small", strings.NewReader(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 128<<10 {
+		t.Errorf("parsing a %d-byte source allocates %d B per call, want under 128 KiB", len(src), got)
 	}
 }

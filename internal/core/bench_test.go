@@ -129,25 +129,8 @@ func BenchmarkCompileSABRE(b *testing.B) {
 	}
 }
 
-// BenchmarkCompileParallel is BenchmarkCompileSABRE with the candidate
-// fan-out on: trivial production and reverse-prep build overlap the SABRE
-// chain. Byte-identical output; wall-clock gain needs GOMAXPROCS > 1.
-func BenchmarkCompileParallel(b *testing.B) {
-	c := bench.MustByName("QFT_n32")
-	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := DefaultOptions()
-	opts.Parallelism = 2
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := CompileContext(context.Background(), c, d, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCompileBatch compiles an 8-variant look-ahead sweep through one
-// CompileBatch call: one shared prep, one worker group. Compare against 8×
+// CompileBatch call: one shared prep for all eight. Compare against 8×
 // BenchmarkCompileSABRE for the shared-prep saving.
 func BenchmarkCompileBatch(b *testing.B) {
 	c := bench.MustByName("QFT_n32")

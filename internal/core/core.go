@@ -17,7 +17,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -74,15 +73,10 @@ func Compile(c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) 
 // step, so a cancelled or expired context aborts a long compile within one
 // scheduler step and surfaces ctx.Err().
 //
-// With Options.Parallelism ≥ 2 and SABRE mapping, the two candidate
-// production runs execute concurrently over cloned prep state and the
-// reduction compares results in candidate-index order with the same strict
-// better-than rule as the sequential loop, so the returned Result (and
-// every tie-break) is byte-identical to Parallelism=1. Observer callbacks
-// keep their sequential order too: the first candidate streams live from
-// the calling goroutine's pass, later candidates record into a buffer
-// replayed after the join — so an observer that cancels ctx mid-pass (the
-// progress UI) still stops the whole compile within one scheduler step.
+// A compile runs entirely on the calling goroutine: the SABRE probes and
+// the candidate production passes execute one after another over one prep,
+// so Observer callbacks arrive in pass order and concurrency is the
+// caller's business (eval's Runner holds one pool slot per compile).
 func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if c.NumQubits > d.Capacity() {
@@ -107,9 +101,6 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 // callers — CompileContext and CompileBatch — check capacity). CompileTime
 // is left zero for the caller to stamp.
 func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
-	if opts.Parallelism > 1 && opts.Mapping == MappingSABRE {
-		return compileParallel(ctx, p, d, opts)
-	}
 	candidates, err := candidateMappings(ctx, p, d, opts)
 	if err != nil {
 		return nil, err
@@ -123,13 +114,17 @@ func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options)
 		if err != nil {
 			return nil, err
 		}
-		best = betterResult(best, res)
+		// Candidates are offered in index order and a later one wins only
+		// by strictly higher fidelity, so every tie-break is deterministic.
+		if best == nil || res.Metrics.Fidelity.Log() > best.Metrics.Fidelity.Log() {
+			best = res
+		}
 	}
 	return best, nil
 }
 
 // runCandidate executes one production pass from the given initial mapping
-// and packages the Result (one iteration of the former candidate loop).
+// and packages the Result.
 func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) (*Result, error) {
 	s, err := newSchedulerWith(ctx, p, d, opts, initial)
 	if err != nil {
@@ -153,93 +148,6 @@ func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts Options, in
 		res.Report = &rep
 	}
 	return res, nil
-}
-
-// betterResult is the deterministic reduction shared by the sequential and
-// parallel candidate paths: candidates are offered in index order, and a
-// later candidate wins only by strictly higher fidelity — so every
-// tie-break matches the sequential loop bit for bit.
-func betterResult(best, res *Result) *Result {
-	if best == nil || res.Metrics.Fidelity.Log() > best.Metrics.Fidelity.Log() {
-		return res
-	}
-	return best
-}
-
-// compileParallel runs the two SABRE candidates concurrently: the calling
-// goroutine works through the long chain — forward probe, reverse probe,
-// SABRE-candidate production, all reusing the caller's prep — while one
-// goroutine runs the trivial candidate's production pass over a cloned
-// prep. The probe chain is inherently serial (each pass starts from the
-// previous pass's final mapping), so two workers already expose all the
-// structural parallelism a SABRE compile has; Parallelism > 2 adds nothing
-// here (CompileBatch is the knob that scales wider).
-//
-// Errors reduce in the same order the sequential path would surface them:
-// outer-context cancellation first, then the mapping search, then
-// candidates by index. A real error cancels the sibling pass; the sibling's
-// resulting context.Canceled is internal noise and is never returned while
-// the outer ctx is still live.
-func compileParallel(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
-	triv, err := trivialMapping(p.c.NumQubits, d)
-	if err != nil {
-		return nil, err
-	}
-	ictx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// Candidate 1 (trivial mapping) buffers its observer events; candidate 0
-	// (SABRE) streams live, leading the event order exactly as in the
-	// sequential loop.
-	trivOpts := opts
-	var buf *replayObserver
-	if opts.Observer != nil {
-		buf = &replayObserver{}
-		trivOpts.Observer = buf
-	}
-
-	var results [2]*Result
-	var errs [2]error
-	pc := p.clone()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		results[1], errs[1] = runCandidate(ictx, pc, d, trivOpts, triv)
-		if errs[1] != nil {
-			cancel()
-		}
-	}()
-
-	sab, mapErr := sabreMapping(ictx, p, d, opts)
-	if mapErr != nil {
-		cancel()
-	} else {
-		results[0], errs[0] = runCandidate(ictx, p, d, opts, sab)
-		if errs[0] != nil {
-			cancel()
-		}
-	}
-	<-done
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	// The outer ctx is live, so any surviving context.Canceled came from the
-	// sibling-cancel above; the real cause is the first non-Canceled error.
-	for _, e := range [3]error{mapErr, errs[0], errs[1]} {
-		if e != nil && !errors.Is(e, context.Canceled) {
-			return nil, e
-		}
-	}
-	for _, e := range [3]error{mapErr, errs[0], errs[1]} {
-		if e != nil {
-			return nil, e
-		}
-	}
-	if buf != nil {
-		buf.replay(opts.Observer)
-	}
-	return betterResult(results[0], results[1]), nil
 }
 
 // candidateMappings returns the initial mappings the compiler will try.

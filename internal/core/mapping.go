@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"mussti/internal/arch"
 )
@@ -80,40 +79,11 @@ func sabreMapping(ctx context.Context, p *prep, d *arch.Device, opts Options) ([
 	if err != nil {
 		return nil, err
 	}
-
-	// The two probe passes are inherently serial (the reverse pass starts
-	// from the forward pass's final mapping), but *building* the reverse
-	// prep — Reverse() plus a DAG build on a cold cache — depends only on
-	// the circuit. With parallelism available, overlap it with the forward
-	// probe; the goroutine is always joined before returning, so no work
-	// leaks past an error.
-	var rprep *prep
-	var pool *sync.Pool
-	if opts.Parallelism > 1 {
-		prefetched := make(chan struct{})
-		go func() {
-			rprep, pool = acquireReversePrep(p.c)
-			close(prefetched)
-		}()
-		forward, ferr := runForMapping(ctx, p, d, probe, trivial)
-		<-prefetched
-		if ferr != nil {
-			pool.Put(rprep)
-			return nil, fmt.Errorf("core: sabre forward pass: %w", ferr)
-		}
-		backward, berr := runForMapping(ctx, rprep, d, probe, forward)
-		pool.Put(rprep)
-		if berr != nil {
-			return nil, fmt.Errorf("core: sabre reverse pass: %w", berr)
-		}
-		return backward, nil
-	}
-
 	forward, err := runForMapping(ctx, p, d, probe, trivial)
 	if err != nil {
 		return nil, fmt.Errorf("core: sabre forward pass: %w", err)
 	}
-	rprep, pool = acquireReversePrep(p.c)
+	rprep, pool := acquireReversePrep(p.c)
 	backward, err := runForMapping(ctx, rprep, d, probe, forward)
 	pool.Put(rprep)
 	if err != nil {

@@ -43,73 +43,3 @@ func ObserverOrNop(obs Observer) Observer {
 	}
 	return obs
 }
-
-// observerEvent kinds recorded by replayObserver.
-const (
-	evGate = iota
-	evShuttle
-	evEviction
-	evSwap
-)
-
-// observerEvent is one recorded callback: which method fired and its
-// arguments (x,y,z mapped positionally).
-type observerEvent struct {
-	kind    int
-	x, y, z int
-}
-
-// replayObserver records callbacks into a buffer so a candidate pass that
-// runs concurrently with an earlier-indexed one can deliver its events to
-// the user's Observer *after* that candidate's — preserving the sequential
-// event order exactly. Only later-indexed candidates are buffered; the
-// first candidate streams live, so observers that drive cancellation (the
-// progress UI's ctx hooks) still abort the compile mid-pass.
-//
-// Methods are called from a single scheduling goroutine; replay happens
-// after that goroutine is joined, so no locking is needed.
-type replayObserver struct {
-	events []observerEvent
-}
-
-// The recording methods run once per scheduled event inside a candidate
-// pass — the same cadence as the scheduler's own inner loop — so they are
-// budgeted hot paths: amortised append growth is the only allocation.
-//
-//mussti:hotpath
-func (r *replayObserver) GateScheduled(done, total int) {
-	r.events = append(r.events, observerEvent{kind: evGate, x: done, y: total})
-}
-
-//mussti:hotpath
-func (r *replayObserver) Shuttle(q, from, to int) {
-	r.events = append(r.events, observerEvent{kind: evShuttle, x: q, y: from, z: to})
-}
-
-//mussti:hotpath
-func (r *replayObserver) Eviction(victim, from, to int) {
-	r.events = append(r.events, observerEvent{kind: evEviction, x: victim, y: from, z: to})
-}
-
-//mussti:hotpath
-func (r *replayObserver) SwapInserted(a, b int) {
-	r.events = append(r.events, observerEvent{kind: evSwap, x: a, y: b})
-}
-
-// replay delivers the recorded events to obs in recording order.
-//
-//mussti:hotpath
-func (r *replayObserver) replay(obs Observer) {
-	for _, e := range r.events {
-		switch e.kind {
-		case evGate:
-			obs.GateScheduled(e.x, e.y)
-		case evShuttle:
-			obs.Shuttle(e.x, e.y, e.z)
-		case evEviction:
-			obs.Eviction(e.x, e.y, e.z)
-		case evSwap:
-			obs.SwapInserted(e.x, e.y)
-		}
-	}
-}

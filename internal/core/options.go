@@ -76,17 +76,6 @@ type CompileConfig struct {
 	// scheduled, shuttles, evictions, inserted SWAPs) from the run. It
 	// never changes the schedule.
 	Observer Observer
-	// Parallelism bounds how many scheduling passes one compile may run
-	// concurrently. 0 or 1 (the default) is fully sequential — the exact
-	// pre-existing code path. At 2+ the SABRE candidate production runs fan
-	// out over goroutines with a deterministic reduction, so the Result is
-	// byte-identical at any setting; see CompileContext. Like Observer it is
-	// an execution-resource knob, not a semantic one: it is excluded from
-	// CacheKey and never crosses the dist wire. Callers that already run
-	// many compiles in parallel (eval's Runner) should leave it at 1 unless
-	// they have idle slots to burn — oversubscribing GOMAXPROCS only adds
-	// scheduler churn.
-	Parallelism int
 }
 
 // Options configures a MUSS-TI compilation.
@@ -165,13 +154,6 @@ func WithRoutingLookAhead(on bool) CompileOption {
 	return func(c *CompileConfig) { c.DisableRoutingLookAhead = !on }
 }
 
-// WithParallelism bounds how many scheduling passes one compile may run
-// concurrently (default 1: sequential). Output is byte-identical at any
-// setting; see CompileConfig.Parallelism for oversubscription guidance.
-func WithParallelism(n int) CompileOption {
-	return func(c *CompileConfig) { c.Parallelism = n }
-}
-
 // DefaultOptions returns the paper's headline configuration:
 // SABRE mapping + SWAP insertion, k=8, T=4, Table-1 physics.
 func DefaultOptions() CompileConfig {
@@ -186,10 +168,8 @@ func DefaultOptions() CompileConfig {
 
 // CacheKey renders every semantic field deterministically for measurement
 // caches: no pointers, maps or addresses are involved, so equal configs
-// yield equal keys in any process. The Observer and Parallelism are
-// deliberately excluded — observation never changes a measurement, and
-// parallelism only changes how fast the identical Result arrives — and
-// Trace is included so traced runs never alias untraced ones (callers
+// yield equal keys in any process. The Observer is deliberately excluded
+// — observation never changes a measurement — and Trace is included so traced runs never alias untraced ones (callers
 // typically refuse to cache them at all).
 func (c CompileConfig) CacheKey() string {
 	return fmt.Sprintf("map=%d swap=%t k=%d T=%d repl=%d nolook=%t trace=%t|phys%+v",
@@ -206,9 +186,6 @@ func (o CompileConfig) withDefaults() CompileConfig {
 	}
 	if o.Params == (physics.Params{}) {
 		o.Params = physics.Default()
-	}
-	if o.Parallelism < 1 {
-		o.Parallelism = 1
 	}
 	return o
 }

@@ -33,11 +33,11 @@ var reversePreps = struct {
 // other prep structure as read-only, so a recycled prep is indistinguishable
 // from a fresh one.
 //
-// Safe under concurrent compiles of one circuit (intra-compile parallelism
-// fans compiles out and CompileBatch compiles many variants at once): the
-// map is mutex-guarded, pool.Get hands each goroutine an exclusive prep,
-// and returning a prep to a pool that a concurrent wholesale clear has
-// since orphaned merely lets the GC reclaim it. TestReversePrepConcurrent
+// Safe under concurrent compiles of one circuit (eval's Runner compiles
+// many variants of one circuit at once): the map is mutex-guarded, pool.Get
+// hands each goroutine an exclusive prep, and returning a prep to a pool
+// that a concurrent wholesale clear has since orphaned merely lets the GC
+// reclaim it. TestReversePrepConcurrent
 // pins this with -race.
 func acquireReversePrep(c *circuit.Circuit) (*prep, *sync.Pool) {
 	reversePreps.mu.Lock()

@@ -82,17 +82,6 @@ func newPrep(c *circuit.Circuit) *prep {
 	return p
 }
 
-// clone returns a prep usable concurrently with p. The per-qubit gate lists
-// and next-use tables are read-only to every pass, so they are shared; the
-// DAG is the prep's one piece of mutable execution state, so the clone gets
-// its own via Graph.Clone (shared structure, private indegree/frontier).
-// Cost: O(g) zeroing, no graph reconstruction — the price of one Reset.
-//
-//mussti:hotpath
-func (p *prep) clone() *prep {
-	return &prep{c: p.c, g: p.g.Clone(), perQubit: p.perQubit, next2q: p.next2q} //mussti:allow=hotalloc one header per batch worker, amortised over its whole variant share
-}
-
 func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options, initial []int) (*scheduler, error) {
 	return newSchedulerWith(ctx, newPrep(c), d, opts, initial)
 }

@@ -122,11 +122,17 @@ func Build(c *circuit.Circuit) *Graph {
 			g.ByQubit[q] = append(g.ByQubit[q], id)
 		}
 	}
-	g.reset()
+	g.Reset()
 	return g
 }
 
-func (g *Graph) reset() {
+// Reset restores the graph to its unexecuted state so it can be scheduled
+// again without rebuilding. The compiler leans on this: one compile replays
+// a single Graph across the SABRE forward probe and every candidate
+// production pass (core's per-circuit prep), so Reset runs on the compile
+// hot path — it must restore every piece of execution state (indegree,
+// executed flags, frontier, watermark) and nothing else.
+func (g *Graph) Reset() {
 	if g.indegree == nil {
 		n := len(g.Nodes)
 		g.indegree = make([]int, n)
@@ -146,28 +152,6 @@ func (g *Graph) reset() {
 			g.frontier = append(g.frontier, n.ID)
 		}
 	}
-}
-
-// Reset restores the graph to its unexecuted state so it can be scheduled
-// again without rebuilding. The compiler leans on this: one compile replays
-// a single Graph across the SABRE forward probe and every candidate
-// production pass (core's per-circuit prep), so Reset runs on the compile
-// hot path — it must restore every piece of execution state (indegree,
-// executed flags, frontier, watermark) and nothing else.
-func (g *Graph) Reset() { g.reset() }
-
-// Clone returns a graph that shares g's immutable structure (Nodes, ByQubit
-// and their backing arrays — frozen after Build) but owns private execution
-// state, so two scheduling passes over one circuit can run concurrently.
-// The clone starts unexecuted; it is as if Build had run twice, minus the
-// O(g) construction. Cloning does not read g's execution state, so it is
-// safe even while g itself is mid-schedule on another goroutine.
-//
-//mussti:hotpath
-func (g *Graph) Clone() *Graph {
-	c := &Graph{Nodes: g.Nodes, ByQubit: g.ByQubit} //mussti:allow=hotalloc one graph header per clone; reset reuses nothing of g's state
-	c.reset()
-	return c
 }
 
 // Remaining reports how many nodes have not been executed yet.

@@ -159,12 +159,10 @@ type WireArch struct {
 	ZonePitchUM      float64 `json:"zonePitchUM"`
 }
 
-// WireConfig mirrors core.CompileConfig minus the Observer and Parallelism:
-// callbacks cannot cross a process boundary, and Parallelism describes the
-// worker's execution resources, not the measurement — the compile is
-// byte-identical at any setting, each worker picks its own. The cache key
-// excludes both for the same reason, so dropping them keeps the round-trip
-// lossless for everything a measurement depends on.
+// WireConfig mirrors core.CompileConfig minus the Observer: callbacks cannot
+// cross a process boundary. The cache key excludes the Observer for the same
+// reason — observation never changes a measurement — so dropping it keeps
+// the round-trip lossless for everything a measurement depends on.
 //
 //mussti:wire
 type WireConfig struct {

@@ -155,30 +155,6 @@ func TestObserverNeverCrossesTheWire(t *testing.T) {
 	}
 }
 
-// TestParallelismNeverCrossesTheWire: Parallelism is an execution-resource
-// knob — compiles are byte-identical at any setting — so like the Observer
-// it is dropped by the codec and each worker applies its own. The decoded
-// spec must come back with the sequential default.
-func TestParallelismNeverCrossesTheWire(t *testing.T) {
-	cfg := core.NewCompileConfig(core.WithParallelism(8))
-	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: cfg}
-	line, err := EncodeJob(1, eval.Job{Spec: &s})
-	if err != nil {
-		t.Fatalf("parallelism made the job unencodable: %v", err)
-	}
-	_, back, err := DecodeJob(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := back.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Config == nil || got.Config.Parallelism != 0 {
-		t.Errorf("parallelism crossed the wire: %+v", got.Config)
-	}
-}
-
 // TestResultEnvelopeRoundTrip covers both outcome shapes and the
 // exactly-one-of validation.
 func TestResultEnvelopeRoundTrip(t *testing.T) {

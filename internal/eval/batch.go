@@ -3,7 +3,6 @@ package eval
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 
 	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
@@ -22,7 +21,7 @@ import (
 
 // planUnits partitions the job list into execution units. Jobs compiling
 // the same circuit with the same batch-capable compiler form one unit and
-// go through CompileBatch — one shared prep, one worker sub-group — while
+// go through CompileBatch — one shared prep, one pool slot — while
 // everything else stays a singleton. Units are ordered by first member and
 // results land by job index, so the partition never affects output, only
 // the work performed. Batching is skipped entirely with a remote executor
@@ -69,61 +68,11 @@ func (r *Runner) planUnits(jobs []Job) [][]int {
 	return units
 }
 
-// parallelizable reports whether intra-compile parallelism can help this
-// job: the compiler must be batch-capable (core's) and the config must run
-// the SABRE two-fold search — the only shape with concurrent candidate
-// work. The baselines ignore CompileConfig.Parallelism, so boosting them
-// would only hold a semaphore slot idle.
-func parallelizable(j Job) bool {
-	s, err := j.resolve()
-	if err != nil {
-		return false
-	}
-	comp, err := core.LookupCompiler(s.Compiler)
-	if err != nil {
-		return false
-	}
-	if _, ok := comp.(core.BatchCompiler); !ok {
-		return false
-	}
-	return s.config(comp).Mapping == core.MappingSABRE
-}
-
-// borrowSlots claims up to n extra semaphore slots without blocking,
-// returning how many it got. The caller already holds one slot; borrowed
-// slots widen one unit's internal worker group, so batches and boosted
-// compiles use idle capacity without ever oversubscribing the runner's
-// global GOMAXPROCS-bounded budget.
-func (r *Runner) borrowSlots(n int) int {
-	got := 0
-	for got < n {
-		select {
-		case r.sem <- struct{}{}: //mussti:allow=sempair the claimed slots are handed to the caller, who must return them via releaseSlots — sempair holds every caller to that
-			got++
-		default:
-			return got
-		}
-	}
-	return got
-}
-
-// releaseSlots returns borrowed slots to the pool.
-func (r *Runner) releaseSlots(n int) {
-	for ; n > 0; n-- {
-		// The receives drain tokens this goroutine itself placed via
-		// borrowSlots, so they never block and never oversubscribe.
-		//mussti:allow=sempair releases the caller's borrowSlots claim; the pair of primitives is the blessed unbalanced seam
-		<-r.sem //mussti:allow=leakcheck every token was placed by this goroutine via borrowSlots, so the receive never blocks
-	}
-}
-
 // runBatchUnit executes one multi-job unit through CompileBatch with the
 // runner's cache and progress layers applied, writing each member's
-// measurement to ms by job index. workers bounds the batch's internal
-// concurrency (the slots the caller actually holds). On failure the whole
-// unit aborts and the error is attributed to the unit's first member — the
-// lowest job index, consistent with Run's first-error rule.
-func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, workers int, ms []Measurement, done *atomic.Int64) error {
+// measurement to ms by job index. On failure the whole unit aborts and no
+// member's measurement is written.
+func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, ms []Measurement) error {
 	specs := make([]CompileSpec, len(unit))
 	for k, i := range unit {
 		s, err := jobs[i].resolve()
@@ -166,7 +115,7 @@ func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, worke
 			sub[x] = variants[k]
 			compiled[k] = true
 		}
-		results, err := bc.CompileBatch(ctx, c, sub, workers)
+		results, err := bc.CompileBatch(ctx, c, sub)
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s/%s batch: %w", specs[0].App, specs[0].Compiler, err)
 		}
@@ -189,7 +138,7 @@ func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, worke
 		}
 		one := func(k int) (Measurement, error) {
 			compiled[k] = true
-			results, err := bc.CompileBatch(ctx, c, variants[k:k+1], 1)
+			results, err := bc.CompileBatch(ctx, c, variants[k:k+1])
 			if err != nil {
 				return Measurement{}, fmt.Errorf("eval: %s/%s: %w", specs[k].App, specs[k].Compiler, err)
 			}
@@ -208,7 +157,6 @@ func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, worke
 	}
 	for k, i := range unit {
 		ms[i] = got[k]
-		done.Add(1)
 		if progs[k] != nil {
 			progs[k].finish(!compiled[k])
 		}

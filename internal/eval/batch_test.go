@@ -63,7 +63,7 @@ func TestBatchRunnerCancelLeavesNoGoroutines(t *testing.T) {
 	r.DisableCache() // identical jobs would otherwise collapse and finish early
 	// Cancel from inside the first compile that schedules a gate. With the
 	// cache off, batching still groups all 64 identical jobs into one
-	// CompileBatch unit, so this aborts the unit's workers mid-flight.
+	// CompileBatch unit, so this aborts the unit mid-flight.
 	jobs[0] = jobs[0].withObserver(cancelOnGate{cancel: cancel, after: 1})
 	start := time.Now()
 	_, err := r.Run(ctx, jobs)

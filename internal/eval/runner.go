@@ -99,26 +99,6 @@ func (j Job) withObserver(obs core.Observer) Job {
 	return Job{Spec: &s}
 }
 
-// withParallelism returns a copy of the job whose compile may run up to n
-// scheduling passes concurrently (core's intra-compile parallelism). Like
-// withObserver it leaves the original job untouched — and the cache key is
-// unaffected anyway, since Parallelism is excluded from CacheKey.
-func (j Job) withParallelism(n int) Job {
-	s, err := j.resolve()
-	if err != nil {
-		return j
-	}
-	var cfg core.CompileConfig
-	if comp, err := core.LookupCompiler(s.Compiler); err == nil {
-		cfg = s.config(comp)
-	} else if s.Config != nil {
-		cfg = *s.Config
-	}
-	cfg.Parallelism = n
-	s.Config = &cfg
-	return Job{Spec: &s}
-}
-
 // Plan is a decomposed experiment: the measurement jobs in deterministic
 // paper order, and a renderer that turns the ordered results into the
 // experiment's text output.
@@ -210,11 +190,11 @@ type JobOutcome struct {
 }
 
 // SetJobHook registers fn to observe every job completed through the
-// runner's per-job path: RunJob, RunKeyed, and each singleton unit Run and
-// RunJobs execute. (Members of a grouped batch unit do not report — the
+// runner's per-job path: RunJob, RunKeyed, and each singleton unit of Run
+// and RunJobs. (Members of a grouped batch unit do not report — the
 // experiment CLI's bulk sweeps are not service traffic.) fn is called
-// synchronously from worker goroutines, so it must be cheap and safe for
-// concurrent use. Call it before the runner sees traffic.
+// synchronously from the goroutine that ran the job, so it must be cheap and
+// safe for concurrent use. Call it before the runner sees traffic.
 func (r *Runner) SetJobHook(fn func(JobOutcome)) { r.hook = fn }
 
 // RemoteExecutor dispatches one job to an external execution substrate — a
@@ -341,12 +321,6 @@ func (r *Runner) RunJob(ctx context.Context, j Job) (Measurement, error) {
 	return r.runJob(ctx, j)
 }
 
-// runJob executes one job with the runner's cache and progress layers
-// applied.
-func (r *Runner) runJob(ctx context.Context, j Job) (Measurement, error) {
-	return r.runJobN(ctx, j, 1)
-}
-
 // RunJobs executes a job list on the calling goroutine, returning every
 // member's measurement and error positionally — unlike Run, no job's
 // failure aborts its neighbours. It is the execution path for coalesced
@@ -369,7 +343,6 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []erro
 		}
 		return ms, errs
 	}
-	var done atomic.Int64
 	units := r.planUnits(jobs)
 	for u, unit := range units {
 		// The semaphore bounds this runner's global concurrency budget; one
@@ -385,42 +358,45 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []erro
 			}
 			return ms, errs
 		}
-		if len(unit) == 1 {
-			i := unit[0]
-			extra := 0
-			if r.remote == nil && parallelizable(jobs[i]) {
-				extra = r.borrowSlots(1)
+		switch err := r.runUnit(ctx, jobs, unit, ms); {
+		case err == nil:
+		case len(unit) == 1:
+			errs[unit[0]] = err
+		default:
+			// The batch unit failed as a whole (first-member attribution);
+			// fall back to per-job execution so every member reports its
+			// own result or error. Members the batch already computed hit
+			// the memo and cost nothing.
+			for _, i := range unit {
+				ms[i], errs[i] = r.runJob(ctx, jobs[i])
 			}
-			ms[i], errs[i] = r.runJobN(ctx, jobs[i], 1+extra)
-			r.releaseSlots(extra)
-		} else {
-			extra := r.borrowSlots(len(unit) - 1)
-			if err := r.runBatchUnit(ctx, jobs, unit, 1+extra, ms, &done); err != nil {
-				// The unit failed as a whole (first-member attribution); fall
-				// back to per-job execution so every member reports its own
-				// result or error. Members the batch already computed hit the
-				// memo and cost nothing.
-				for _, i := range unit {
-					ms[i], errs[i] = r.runJob(ctx, jobs[i])
-				}
-			}
-			r.releaseSlots(extra)
 		}
 		<-r.sem
 	}
 	return ms, errs
 }
 
-// runJobN is runJob with an intra-compile parallelism bound: parallelism is
-// how many semaphore slots the caller holds for this job (1 plus any
-// borrowed), which caps how many scheduling passes the compile may run
-// concurrently — so boosted compiles never oversubscribe the pool.
-func (r *Runner) runJobN(ctx context.Context, j Job, parallelism int) (Measurement, error) {
+// runUnit executes one planned unit on the calling goroutine, which holds
+// one pool slot for it: a singleton through the per-job path, a same-circuit
+// group through one CompileBatch. Each successful measurement lands in ms by
+// job index. On failure the unit's error is returned for its first member —
+// the lowest job index, consistent with Run's first-error rule.
+func (r *Runner) runUnit(ctx context.Context, jobs []Job, unit []int, ms []Measurement) error {
+	if len(unit) > 1 {
+		return r.runBatchUnit(ctx, jobs, unit, ms)
+	}
+	m, err := r.runJob(ctx, jobs[unit[0]])
+	if err == nil {
+		ms[unit[0]] = m
+	}
+	return err
+}
+
+// runJob executes one job with the runner's cache, progress and remote
+// layers applied, reporting the outcome to the job hook.
+func (r *Runner) runJob(ctx context.Context, j Job) (Measurement, error) {
 	var prog *jobProgress
 	exec := j
-	if parallelism > 1 && r.remote == nil {
-		exec = exec.withParallelism(parallelism)
-	}
 	if r.progress != nil {
 		prog = r.progress.job(j.label())
 		if r.remote == nil {
@@ -537,44 +513,15 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Measurement, error) {
 					<-r.sem
 					return
 				}
-				unit := units[u]
-				if len(unit) == 1 {
-					i := unit[0]
-					// A lone SABRE compile can use one idle slot for its
-					// trivial-candidate pass — free speedup when the pool
-					// has spare capacity, strictly bounded when it doesn't.
-					extra := 0
-					if r.remote == nil && parallelizable(jobs[i]) {
-						extra = r.borrowSlots(1)
-					}
-					m, err := r.runJobN(ctx, jobs[i], 1+extra)
-					r.releaseSlots(extra)
-					switch {
-					case err == nil:
-						ms[i] = m
-						done.Add(1)
-					case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-						// The compile was interrupted by cancellation, not by
-						// a failure of its own; the final ctx.Err() return
-						// covers it.
-					default:
-						errs[i] = err
-						cancel() // abort in-flight jobs, skip unclaimed ones
-					}
-				} else {
-					// A batch unit holds this slot plus whatever is idle
-					// right now, so its internal worker group exactly fills
-					// the capacity it owns.
-					extra := r.borrowSlots(len(unit) - 1)
-					err := r.runBatchUnit(ctx, jobs, unit, 1+extra, ms, &done)
-					r.releaseSlots(extra)
-					switch {
-					case err == nil:
-					case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-					default:
-						errs[unit[0]] = err
-						cancel()
-					}
+				switch err := r.runUnit(ctx, jobs, units[u], ms); {
+				case err == nil:
+					done.Add(int64(len(units[u])))
+				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+					// The unit was interrupted by cancellation, not by a
+					// failure of its own; the final ctx.Err() return covers it.
+				default:
+					errs[units[u][0]] = err
+					cancel() // abort in-flight units, skip unclaimed ones
 				}
 				<-r.sem
 			}

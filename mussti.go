@@ -250,10 +250,6 @@ var (
 	WithObserver = core.WithObserver
 	// WithRoutingLookAhead toggles the routing attraction term.
 	WithRoutingLookAhead = core.WithRoutingLookAhead
-	// WithParallelism bounds how many scheduling passes one compile may run
-	// concurrently (default 1: sequential; output is byte-identical at any
-	// setting).
-	WithParallelism = core.WithParallelism
 )
 
 // Initial-mapping strategies (§3.4 of the paper).
@@ -302,7 +298,7 @@ func CompileContext(ctx context.Context, c *Circuit, d *Device, opts Options) (*
 type Observer = core.Observer
 
 // Batch compilation: many (target, config) variants of one circuit share
-// the per-circuit preparation and compile on a bounded worker group.
+// the per-circuit preparation.
 type (
 	// BatchVariant is one (target, config) pair of a CompileBatch; a nil
 	// Config means the paper's defaults, as with Compiler.Compile.
@@ -314,10 +310,10 @@ type (
 
 // CompileBatch compiles one circuit against many (target, config) variants
 // with MUSS-TI, building the per-circuit preparation (dependency DAG,
-// per-qubit gate lists, next-use tables) once and running the variants on a
-// worker group bounded by GOMAXPROCS. results[i] corresponds to variants[i]
-// and is byte-identical to a standalone Compile of that variant (modulo the
-// wall-clock CompileTime), regardless of worker count:
+// per-qubit gate lists, next-use tables) once and compiling the variants
+// one after another on the calling goroutine. results[i] corresponds to
+// variants[i] and is byte-identical to a standalone Compile of that variant
+// (modulo the wall-clock CompileTime):
 //
 //	variants := []mussti.BatchVariant{
 //		{Target: dev, Config: nil},                                   // paper defaults
@@ -326,13 +322,6 @@ type (
 //	results, err := mussti.CompileBatch(ctx, c, variants)
 func CompileBatch(ctx context.Context, c *Circuit, variants []BatchVariant) ([]*Result, error) {
 	return core.CompileBatch(ctx, c, variants)
-}
-
-// CompileBatchBounded is CompileBatch with an explicit worker bound
-// (workers <= 0 means GOMAXPROCS) — for callers that already own a worker
-// pool and must not oversubscribe it.
-func CompileBatchBounded(ctx context.Context, c *Circuit, variants []BatchVariant, workers int) ([]*Result, error) {
-	return core.CompileBatchBounded(ctx, c, variants, workers)
 }
 
 // ScheduleOp is one timed entry of a recorded schedule.
