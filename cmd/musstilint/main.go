@@ -1,5 +1,5 @@
 // Command musstilint runs the repo-invariant lint suite (internal/analysis):
-// determinism, ctxflow, hotalloc, wirecompat, leakcheck and sempair.
+// determinism, ctxflow, hotalloc, wirecompat and leakcheck.
 //
 // Standalone, over package patterns:
 //

@@ -53,13 +53,6 @@ func Spawn() {
 }
 
 func tick() {}
-
-// sempair: the slot is acquired and never released.
-type pool struct{ sem chan struct{} }
-
-func (p *pool) Leak() {
-	p.sem <- struct{}{}
-}
 `
 
 // scratchTestSrc plants a violation in a _test.go file; vet mode must drop
@@ -137,7 +130,6 @@ func TestVettoolMode(t *testing.T) {
 		{"hotalloc", "buf := make([]int, n)", "allocates per call"},
 		{"wirecompat", "Routing map[string]int", "cannot cross the wire losslessly"},
 		{"leakcheck", "go tick()", "plain call with no completion signal"},
-		{"sempair", "p.sem <- struct{}{}", "not released on every path"},
 	}
 	lines := strings.Split(string(out), "\n")
 	for _, want := range expects {

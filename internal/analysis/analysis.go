@@ -1,6 +1,6 @@
 // Package analysis is the repo-invariant lint suite: a small, dependency-free
 // analogue of golang.org/x/tools/go/analysis (which this module cannot vendor)
-// plus six custom passes that turn the project's runtime-tested invariants
+// plus five custom passes that turn the project's runtime-tested invariants
 // into compile-time checks:
 //
 //   - determinism: byte-identical experiment output at any parallelism level
@@ -13,9 +13,10 @@
 //   - wirecompat: the versioned internal/dist wire format (no map fields,
 //     keyed literals only, schema changes force a checksum + version bump);
 //   - leakcheck: goroutines in internal/{core,eval,dist} must carry a
-//     completion signal, and channel loops must select on ctx.Done;
-//   - sempair: semaphore acquire/release must pair on every control-flow
-//     path.
+//     completion signal, and channel loops must select on ctx.Done.
+//
+// Semaphore pairing needs no pass: the only slot type (internal/pool) holds
+// a slot for one function call and releases it in a defer.
 //
 // On top of the AST passes sits a compiler-feedback tier (compilerfacts.go,
 // perfbudget.go): one `go build` with escape-analysis, inlining and
@@ -96,7 +97,6 @@ func All() []*Analyzer {
 		HotallocAnalyzer,
 		WirecompatAnalyzer,
 		LeakcheckAnalyzer,
-		SempairAnalyzer,
 	}
 }
 

@@ -114,4 +114,3 @@ func TestCtxflowFixtures(t *testing.T)     { checkFixturePair(t, CtxflowAnalyzer
 func TestHotallocFixtures(t *testing.T)    { checkFixturePair(t, HotallocAnalyzer, "hotalloc") }
 func TestWirecompatFixtures(t *testing.T)  { checkFixturePair(t, WirecompatAnalyzer, "wirecompat") }
 func TestLeakcheckFixtures(t *testing.T)   { checkFixturePair(t, LeakcheckAnalyzer, "leakcheck") }
-func TestSempairFixtures(t *testing.T)     { checkFixturePair(t, SempairAnalyzer, "sempair") }

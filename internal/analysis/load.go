@@ -96,7 +96,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 }
 
 // listCache memoizes goList output per (dir, patterns) for the life of the
-// process. Every analyzer run over the same tree — the six passes of one
+// process. Every analyzer run over the same tree — the passes of one
 // Check call, repeated fixture loads in the test binary — shares one
 // `go list -export` invocation, by far the slowest step of a load.
 var listCache sync.Map // string -> []listedPackage

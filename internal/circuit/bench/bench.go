@@ -65,6 +65,9 @@ func generate(name string) (*circuit.Circuit, error) {
 	if err != nil || n <= 0 {
 		return nil, fmt.Errorf("bench: malformed qubit count in %q", name)
 	}
+	if n > circuit.MaxQubits {
+		return nil, fmt.Errorf("bench: %q exceeds the %d-qubit cap", name, circuit.MaxQubits)
+	}
 	gen, ok := generators[base]
 	if !ok {
 		return nil, fmt.Errorf("bench: unknown family %q (have %v)", base, Families())

@@ -54,6 +54,17 @@ func TestByNameErrors(t *testing.T) {
 	}
 }
 
+// TestByNameQubitCap: a name asking for more than circuit.MaxQubits qubits
+// is refused before its generator runs.
+func TestByNameQubitCap(t *testing.T) {
+	for _, name := range []string{"qft_n1025", "qft_n1000000", "GHZ_n2147483647"} {
+		_, err := ByName(name)
+		if err == nil || !strings.Contains(err.Error(), "qubit cap") {
+			t.Errorf("ByName(%q): err = %v, want the qubit-cap error", name, err)
+		}
+	}
+}
+
 func TestMustByNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -17,6 +17,13 @@ type Circuit struct {
 	Gates []Gate
 }
 
+// MaxQubits bounds the register width of every circuit that arrives from
+// outside the program — a parsed qreg, a generated benchmark's "_nNN" — so a
+// few bytes of input cannot ask for a device of millions of modules or a
+// benchmark of billions of gates. It is 3.4× the paper's largest point,
+// SQRT_n299.
+const MaxQubits = 1024
+
 // New returns an empty circuit over n qubits.
 func New(name string, n int) *Circuit {
 	return &Circuit{Name: name, NumQubits: n}

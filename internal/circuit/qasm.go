@@ -165,6 +165,9 @@ func parseRegDecl(stmt string) (int, error) {
 	if err != nil || n <= 0 {
 		return 0, fmt.Errorf("malformed register size in %q", stmt)
 	}
+	if n > MaxQubits {
+		return 0, fmt.Errorf("register size %d in %q exceeds the %d-qubit cap", n, stmt, MaxQubits)
+	}
 	return n, nil
 }
 

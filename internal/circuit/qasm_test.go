@@ -135,6 +135,18 @@ func TestParseQASMErrors(t *testing.T) {
 	}
 }
 
+// TestParseQASMQubitCap: a qreg wider than MaxQubits is refused by the
+// parser itself, before any circuit of that width exists.
+func TestParseQASMQubitCap(t *testing.T) {
+	for _, n := range []int{MaxQubits + 1, 1 << 30} {
+		src := fmt.Sprintf("qreg q[%d];", n)
+		_, err := ParseQASM("wide", strings.NewReader(src))
+		if err == nil || !strings.Contains(err.Error(), "qubit cap") {
+			t.Errorf("%s: err = %v, want the qubit-cap error", src, err)
+		}
+	}
+}
+
 func TestParseAngle(t *testing.T) {
 	cases := map[string]float64{
 		"pi":       math.Pi,

@@ -31,7 +31,7 @@ func (r *Runner) planUnits(jobs []Job) [][]int {
 	keys := make([]string, len(jobs))
 	if groupable {
 		for i, j := range jobs {
-			s, err := j.resolve()
+			s, err := j.Resolve()
 			if err != nil {
 				continue // stays a singleton; the error surfaces when it runs
 			}
@@ -75,7 +75,7 @@ func (r *Runner) planUnits(jobs []Job) [][]int {
 func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, ms []Measurement) error {
 	specs := make([]CompileSpec, len(unit))
 	for k, i := range unit {
-		s, err := jobs[i].resolve()
+		s, err := jobs[i].Resolve()
 		if err != nil {
 			return err
 		}
@@ -121,7 +121,7 @@ func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, ms []
 		}
 		out := make([]Measurement, len(need))
 		for x, k := range need {
-			out[x] = measurementFrom(specs[k], comp, c, results[x])
+			out[x] = MeasurementOf(specs[k].App, comp, c, results[x])
 		}
 		return out, nil
 	}
@@ -142,7 +142,7 @@ func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, ms []
 			if err != nil {
 				return Measurement{}, fmt.Errorf("eval: %s/%s: %w", specs[k].App, specs[k].Compiler, err)
 			}
-			return measurementFrom(specs[k], comp, c, results[0]), nil
+			return MeasurementOf(specs[k].App, comp, c, results[0]), nil
 		}
 		got, err = r.memo.DoBatch(ctx, keys, compute, one)
 	} else {

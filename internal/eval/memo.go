@@ -218,7 +218,7 @@ func (mo *Memo) DoBatch(ctx context.Context, keys []string, batch func(need []in
 // CompileSpec first, so a legacy MusstiSpec job and a registry CompileSpec
 // job describing the same point share one cache entry.
 func (j Job) cacheKey() (key string, ok bool) {
-	s, err := j.resolve()
+	s, err := j.Resolve()
 	if err != nil {
 		return "", false
 	}

@@ -113,20 +113,13 @@ func RunSpecContext(ctx context.Context, spec CompileSpec) (Measurement, error) 
 	if err != nil {
 		return Measurement{}, fmt.Errorf("eval: %s/%s: %w", spec.App, spec.Compiler, err)
 	}
-	return measurementFrom(spec, comp, c, res), nil
-}
-
-// measurementFrom packages one compile Result as the spec's Measurement
-// row — the single conversion both the per-job path (RunSpecContext) and
-// the batch path (runBatchUnit) go through, so the two can never drift.
-func measurementFrom(spec CompileSpec, comp core.Compiler, c *circuit.Circuit, res *core.Result) Measurement {
-	return MeasurementOf(spec.App, comp, c, res)
+	return MeasurementOf(spec.App, comp, c, res), nil
 }
 
 // MeasurementOf packages one compile Result as a Measurement row under the
-// given application name — the same conversion every harness path uses,
-// exported for callers that compile outside the registry spec path (the
-// compilation service's ad-hoc QASM circuits).
+// given application name — the single conversion every harness path uses
+// (RunSpecContext, the batch path runBatchUnit, and the compilation
+// service's ad-hoc QASM circuits), so they can never drift.
 func MeasurementOf(app string, comp core.Compiler, c *circuit.Circuit, res *core.Result) Measurement {
 	st := c.Stats()
 	m := res.Metrics

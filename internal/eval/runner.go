@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"mussti/internal/core"
+	"mussti/internal/pool"
 )
 
 // This file is the concurrent measurement runner. Every experiment in this
@@ -40,15 +41,12 @@ type Job struct {
 }
 
 // Resolve normalises the job to the unified CompileSpec, whichever spec
-// style built it. Wire codecs (internal/dist) serialise the resolved spec,
-// so a legacy MusstiSpec/BaselineSpec job crosses process boundaries as the
-// same envelope its registry-style equivalent would.
-func (j Job) Resolve() (CompileSpec, error) { return j.resolve() }
-
-// resolve normalises the job to the unified CompileSpec, whichever spec
-// style built it. Every consumer — execution, cache keys, progress labels —
-// goes through this one conversion, so the three spec styles cannot drift.
-func (j Job) resolve() (CompileSpec, error) {
+// style built it. Every consumer — execution, cache keys, progress labels,
+// the wire codecs of internal/dist — goes through this one conversion, so
+// the three spec styles cannot drift: a legacy MusstiSpec/BaselineSpec job
+// crosses process boundaries as the same envelope its registry-style
+// equivalent would.
+func (j Job) Resolve() (CompileSpec, error) {
 	switch {
 	case j.Spec != nil:
 		return *j.Spec, nil
@@ -64,7 +62,7 @@ func (j Job) resolve() (CompileSpec, error) {
 // run executes the measurement this job describes. ctx cancellation aborts
 // the compile within one scheduler step.
 func (j Job) run(ctx context.Context) (Measurement, error) {
-	s, err := j.resolve()
+	s, err := j.Resolve()
 	if err != nil {
 		return Measurement{}, err
 	}
@@ -73,17 +71,13 @@ func (j Job) run(ctx context.Context) (Measurement, error) {
 
 // WithObserver returns a copy of the job with obs attached to its compile
 // configuration — the seam per-request progress streaming (internal/service)
-// hangs on. The cache key is unaffected: Observer is excluded from
-// CompileConfig.CacheKey, so an observed request still coalesces with (and
-// is served by) unobserved ones.
-func (j Job) WithObserver(obs core.Observer) Job { return j.withObserver(obs) }
-
-// withObserver returns a copy of the job with obs attached to its compile
-// configuration; the original job (and its spec) stays untouched, so cache
-// keys and replans are unaffected. Jobs that fail to resolve are returned
-// unchanged — the error surfaces when the job runs.
-func (j Job) withObserver(obs core.Observer) Job {
-	s, err := j.resolve()
+// hangs on. The original job (and its spec) stays untouched, and the cache
+// key is unaffected: Observer is excluded from CompileConfig.CacheKey, so an
+// observed request still coalesces with (and is served by) unobserved ones.
+// Jobs that fail to resolve are returned unchanged — the error surfaces when
+// the job runs.
+func (j Job) WithObserver(obs core.Observer) Job {
+	s, err := j.Resolve()
 	if err != nil {
 		return j
 	}
@@ -149,15 +143,15 @@ func (r *Results) Take(n int) []Measurement {
 	return out
 }
 
-// Runner executes job lists over a bounded worker pool. The pool bound is a
-// semaphore shared by every Run call on the same Runner, so concurrent
+// Runner executes job lists over a bounded worker pool. The pool bound is
+// shared by every Run and RunJobs call on the same Runner, so concurrent
 // experiments (the CLI's all-experiments mode) stay within one global
 // concurrency budget. Runs on the same Runner also share its measurement
 // cache: identical (application, compiler, device config, options) points
 // across experiments compile exactly once per process.
 type Runner struct {
 	workers  int
-	sem      chan struct{}
+	pool     *pool.Pool // cap workers; one slot per running unit
 	memo     *Memo
 	progress *progressSink
 	remote   RemoteExecutor
@@ -231,7 +225,7 @@ func NewRunner(workers int) *Runner {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Runner{workers: workers, sem: make(chan struct{}, workers), memo: NewMemo(), batching: true}
+	return &Runner{workers: workers, pool: pool.New(workers), memo: NewMemo(), batching: true}
 }
 
 // Workers reports the pool size.
@@ -285,7 +279,7 @@ func (r *Runner) SetRemote(x RemoteExecutor) {
 	if p, ok := x.(PipelinedExecutor); ok {
 		if c := p.Capacity(); c > r.workers {
 			r.workers = c
-			r.sem = make(chan struct{}, c)
+			r.pool = pool.New(c)
 		}
 	}
 }
@@ -345,33 +339,33 @@ func (r *Runner) RunJobs(ctx context.Context, jobs []Job) ([]Measurement, []erro
 	}
 	units := r.planUnits(jobs)
 	for u, unit := range units {
-		// The semaphore bounds this runner's global concurrency budget; one
-		// slot per unit, exactly as Run's workers claim it. Cancellation
-		// while waiting fails every remaining unit — ctx stays done.
-		select {
-		case r.sem <- struct{}{}:
-		case <-ctx.Done():
+		// The pool bounds this runner's global concurrency budget; one slot
+		// per unit, exactly as Run's workers claim it.
+		err := r.pool.Do(ctx, func() {
+			switch err := r.runUnit(ctx, jobs, unit, ms); {
+			case err == nil:
+			case len(unit) == 1:
+				errs[unit[0]] = err
+			default:
+				// The batch unit failed as a whole (first-member
+				// attribution); fall back to per-job execution so every
+				// member reports its own result or error. Members the batch
+				// already computed hit the memo and cost nothing.
+				for _, i := range unit {
+					ms[i], errs[i] = r.runJob(ctx, jobs[i])
+				}
+			}
+		})
+		if err != nil {
+			// Cancelled while waiting: every remaining unit fails — ctx
+			// stays done.
 			for _, rest := range units[u:] {
 				for _, i := range rest {
-					errs[i] = ctx.Err()
+					errs[i] = err
 				}
 			}
 			return ms, errs
 		}
-		switch err := r.runUnit(ctx, jobs, unit, ms); {
-		case err == nil:
-		case len(unit) == 1:
-			errs[unit[0]] = err
-		default:
-			// The batch unit failed as a whole (first-member attribution);
-			// fall back to per-job execution so every member reports its
-			// own result or error. Members the batch already computed hit
-			// the memo and cost nothing.
-			for _, i := range unit {
-				ms[i], errs[i] = r.runJob(ctx, jobs[i])
-			}
-		}
-		<-r.sem
 	}
 	return ms, errs
 }
@@ -402,36 +396,17 @@ func (r *Runner) runJob(ctx context.Context, j Job) (Measurement, error) {
 		if r.remote == nil {
 			// Observers cannot cross a process boundary; remotely executed
 			// jobs report completion ticks only.
-			exec = exec.withObserver(prog)
+			exec = exec.WithObserver(prog)
 		}
 	}
 	run := exec.run
 	if r.remote != nil {
 		run = func(ctx context.Context) (Measurement, error) { return r.remote.RunJob(ctx, j) }
 	}
-	var start time.Time
-	if r.hook != nil {
-		start = time.Now() //mussti:allow=determinism job-latency telemetry for the hook, never measured output
-	}
-	var m Measurement
-	var err error
-	compiled := true
-	key, cacheable := j.cacheKey()
-	if cacheable && r.memo != nil {
-		compiled = false
-		m, err = r.memo.Do(ctx, key, func() (Measurement, error) {
-			compiled = true
-			return run(ctx)
-		})
-	} else {
-		key = ""
-		m, err = run(ctx)
-	}
+	key, _ := j.cacheKey()
+	m, cached, err := r.memoized(ctx, key, run)
 	if prog != nil && err == nil {
-		prog.finish(!compiled)
-	}
-	if r.hook != nil {
-		r.hook(JobOutcome{Key: key, Cached: !compiled, Wall: time.Since(start), Err: err}) //mussti:allow=determinism job-latency telemetry for the hook, never measured output
+		prog.finish(cached)
 	}
 	return m, err
 }
@@ -448,26 +423,33 @@ func (r *Runner) RunKeyed(ctx context.Context, key string, fn func(context.Conte
 	if r == nil {
 		return fn(ctx)
 	}
+	m, _, err := r.memoized(ctx, key, fn)
+	return m, err
+}
+
+// memoized is the per-job path's one memo-and-hook step, shared by runJob
+// and RunKeyed: fn runs through the memo under key (an empty key, or a
+// disabled cache, runs it directly) and the outcome goes to the job hook.
+// cached reports that fn did not run in this call.
+func (r *Runner) memoized(ctx context.Context, key string, fn func(context.Context) (Measurement, error)) (m Measurement, cached bool, err error) {
 	var start time.Time
 	if r.hook != nil {
 		start = time.Now() //mussti:allow=determinism job-latency telemetry for the hook, never measured output
 	}
-	var m Measurement
-	var err error
-	compiled := true
-	if r.memo != nil && key != "" {
-		compiled = false
+	if key != "" && r.memo != nil {
+		cached = true
 		m, err = r.memo.Do(ctx, key, func() (Measurement, error) {
-			compiled = true
+			cached = false
 			return fn(ctx)
 		})
 	} else {
+		key = ""
 		m, err = fn(ctx)
 	}
 	if r.hook != nil {
-		r.hook(JobOutcome{Key: key, Cached: !compiled, Wall: time.Since(start), Err: err}) //mussti:allow=determinism job-latency telemetry for the hook, never measured output
+		r.hook(JobOutcome{Key: key, Cached: cached, Wall: time.Since(start), Err: err}) //mussti:allow=determinism job-latency telemetry for the hook, never measured output
 	}
-	return m, err
+	return m, cached, err
 }
 
 // Run executes all jobs and returns their measurements in job order. On
@@ -494,36 +476,32 @@ func (r *Runner) Run(ctx context.Context, jobs []Job) ([]Measurement, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				// Checked before the select: with both channels ready,
-				// select picks arbitrarily, and cancellation must win.
-				if ctx.Err() != nil {
+			// The pool is shared by every Run call on this Runner, holding
+			// concurrent experiments to one global concurrency budget. Its
+			// Do refuses a done ctx even with a slot free, so cancellation
+			// always wins.
+			for claimed := true; claimed; {
+				err := r.pool.Do(ctx, func() {
+					u := int(next.Add(1)) - 1
+					if u >= len(units) {
+						claimed = false
+						return
+					}
+					switch err := r.runUnit(ctx, jobs, units[u], ms); {
+					case err == nil:
+						done.Add(int64(len(units[u])))
+					case ctx.Err() != nil && errors.Is(err, ctx.Err()):
+						// The unit was interrupted by cancellation, not by a
+						// failure of its own; the final ctx.Err() return
+						// covers it.
+					default:
+						errs[units[u][0]] = err
+						cancel() // abort in-flight units, skip unclaimed ones
+					}
+				})
+				if err != nil {
 					return
 				}
-				// The semaphore is shared by every Run call on this
-				// Runner, holding concurrent experiments to one global
-				// concurrency budget.
-				select {
-				case <-ctx.Done():
-					return
-				case r.sem <- struct{}{}:
-				}
-				u := int(next.Add(1)) - 1
-				if u >= len(units) {
-					<-r.sem
-					return
-				}
-				switch err := r.runUnit(ctx, jobs, units[u], ms); {
-				case err == nil:
-					done.Add(int64(len(units[u])))
-				case ctx.Err() != nil && errors.Is(err, ctx.Err()):
-					// The unit was interrupted by cancellation, not by a
-					// failure of its own; the final ctx.Err() return covers it.
-				default:
-					errs[units[u][0]] = err
-					cancel() // abort in-flight units, skip unclaimed ones
-				}
-				<-r.sem
 			}
 		}()
 	}

@@ -38,6 +38,7 @@ import (
 	"mussti/internal/core"
 	"mussti/internal/dist"
 	"mussti/internal/eval"
+	"mussti/internal/pool"
 )
 
 // Options configures a Server.
@@ -68,7 +69,7 @@ type Server struct {
 	maxQueue       int64
 	streamInterval time.Duration
 
-	slots    chan struct{} // compile-slot semaphore, cap MaxInFlight
+	slots    *pool.Pool // compile slots, cap MaxInFlight
 	queued   atomic.Int64
 	inFlight atomic.Int64
 	metrics  metrics
@@ -99,7 +100,7 @@ func New(opts Options) (*Server, error) {
 		fleet:          opts.Fleet,
 		maxQueue:       int64(queue),
 		streamInterval: interval,
-		slots:          make(chan struct{}, inFlight),
+		slots:          pool.New(inFlight),
 		mux:            http.NewServeMux(),
 	}
 	s.runner.SetJobHook(s.metrics.observe)
@@ -120,33 +121,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // errOverloaded marks admission rejections (HTTP 429).
 var errOverloaded = errors.New("service: compile queue full")
 
-// admit claims a compile slot, queueing behind MaxQueue waiters at most.
-// It returns the release closure, errOverloaded when the queue is full, or
-// ctx.Err() when the client disconnected while queued.
-func (s *Server) admit(r *http.Request) (release func(), err error) {
-	claim := func() func() {
+// admit runs handle while holding a compile slot, queueing behind MaxQueue
+// waiters at most. It returns errOverloaded when the queue is full, or
+// ctx.Err() when the client disconnected while queued; in both cases handle
+// does not run. A waiter leaves the queue gauge when it gets its slot.
+func (s *Server) admit(r *http.Request, handle func()) error {
+	run := func() {
 		s.inFlight.Add(1)
-		return func() {
-			s.inFlight.Add(-1)
-			<-s.slots
-		}
+		defer s.inFlight.Add(-1)
+		handle()
 	}
-	select {
-	case s.slots <- struct{}{}:
-		return claim(), nil
-	default:
+	if s.slots.TryDo(run) {
+		return nil
 	}
 	if s.queued.Add(1) > s.maxQueue {
 		s.queued.Add(-1)
-		return nil, errOverloaded
+		return errOverloaded
 	}
-	defer s.queued.Add(-1)
-	select {
-	case s.slots <- struct{}{}:
-		return claim(), nil
-	case <-r.Context().Done():
-		return nil, r.Context().Err()
+	err := s.slots.Do(r.Context(), func() {
+		s.queued.Add(-1)
+		run()
+	})
+	if err != nil {
+		s.queued.Add(-1)
 	}
+	return err
 }
 
 // httpError writes a JSON error body with the given status.
@@ -182,18 +181,19 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		httpError(w, status, err)
 		return
 	}
-	release, err := s.admit(r)
-	if err != nil {
-		if errors.Is(err, errOverloaded) {
-			s.metrics.reject()
-			httpError(w, http.StatusTooManyRequests, err)
-		}
-		// Client gone while queued: nobody is listening, write nothing.
-		return
+	err = s.admit(r, func() { s.compile(w, r, t, req.Stream) })
+	if errors.Is(err, errOverloaded) {
+		s.metrics.reject()
+		httpError(w, http.StatusTooManyRequests, err)
 	}
-	defer release()
+	// Any other error is a client gone while queued: nobody is listening,
+	// write nothing.
+}
+
+// compile runs an admitted request's task and writes its response.
+func (s *Server) compile(w http.ResponseWriter, r *http.Request, t task, stream bool) {
 	s.metrics.admitted()
-	if req.Stream {
+	if stream {
 		s.streamCompile(w, r, t)
 		return
 	}

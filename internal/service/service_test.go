@@ -390,6 +390,77 @@ func TestAdmissionControl(t *testing.T) {
 	if snap.Requests != 2 {
 		t.Errorf("requests = %d, want 2 (the 429 is not admitted)", snap.Requests)
 	}
+
+	// A client that disconnects while queued leaves the queue without ever
+	// holding the slot: the gauges return to 0, and the next request takes
+	// its queue place and is admitted.
+	started2 := make(chan struct{}, 4)
+	release2 := make(chan struct{})
+	var releaseOnce sync.Once
+	unblock := func() { releaseOnce.Do(func() { close(release2) }) }
+	t.Cleanup(unblock) // a failed check must not leave the blocker holding the server
+	testCompiler.set(t, func(ctx context.Context) (*core.Result, error) {
+		started2 <- struct{}{}
+		select {
+		case <-release2:
+			return &core.Result{}, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	})
+	waitQueued := func(n int64) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.queued.Load() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("queued = %d, want %d", s.queued.Load(), n)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	blocker := make(chan int, 1)
+	go post("GHZ_n16", blocker)
+	select {
+	case <-started2:
+	case <-time.After(5 * time.Second):
+		t.Fatal("blocking compile never started")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, "POST", ts.URL+"/v1/compile",
+		strings.NewReader(`{"app":"GHZ_n24","compiler":"svc-test"}`))
+	gone := make(chan struct{})
+	go func() {
+		defer close(gone)
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	waitQueued(1)
+	cancel()
+	<-gone
+	waitQueued(0)
+	next := make(chan int, 1)
+	go post("GHZ_n32", next)
+	waitQueued(1)
+	unblock()
+	if code := <-blocker; code != http.StatusOK {
+		t.Fatalf("blocking request status = %d", code)
+	}
+	if code := <-next; code != http.StatusOK {
+		t.Fatalf("request after the disconnect: status = %d, want 200", code)
+	}
+	deadline = time.Now().Add(5 * time.Second)
+	for s.queued.Load() != 0 || s.inFlight.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("after the disconnect: queued = %d, in flight = %d, want 0/0",
+				s.queued.Load(), s.inFlight.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if snap := getMetrics(t, ts.URL); snap.Requests != 4 || snap.Rejected != 1 {
+		t.Errorf("requests = %d, rejected = %d, want 4/1 (the disconnected waiter is neither)",
+			snap.Requests, snap.Rejected)
+	}
 }
 
 // TestCompileQASM: an inline QASM circuit compiles, and the identical
@@ -436,6 +507,8 @@ func TestBadRequests(t *testing.T) {
 		{"arch and grid", `{"app":"GHZ_n4","arch":{"modules":4},"grid":{"rows":2,"cols":2,"capacity":4}}`},
 		{"partial arch", `{"app":"GHZ_n4","arch":{"trap_capacity":8}}`},
 		{"bad qasm", `{"qasm":"qreg q[2]; banana q[0];"}`},
+		{"qasm over qubit cap", `{"qasm":"qreg q[1000000000];"}`},
+		{"app over qubit cap", `{"app":"qft_n1000000"}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
