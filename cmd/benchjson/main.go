@@ -6,9 +6,9 @@
 //	go run ./cmd/benchjson -o -             # print to stdout
 //
 // The benchmarked units mirror the microbenchmarks under internal/... (one
-// full compile, DAG construction, the frontier drain, one look-ahead window
-// scan, one engine shuttle) so the committed trajectory and `go test -bench`
-// agree on what is being measured.
+// full compile, DAG construction, the frontier drain, a drain with per-qubit
+// look-ahead queries, one engine shuttle) so the committed trajectory and
+// `go test -bench` agree on what is being measured.
 package main
 
 import (
@@ -212,15 +212,19 @@ func main() {
 				}
 			}
 		}),
-		measure("dag/walkahead8/SQRT_n299", func(b *testing.B) {
+		measure("dag/aheadon8/SQRT_n299", func(b *testing.B) {
 			g := dag.Build(big)
-			for g.Remaining() > len(g.Nodes)/2 {
-				g.Execute(g.Frontier()[0])
-			}
 			b.ResetTimer()
 			sink := 0
 			for i := 0; i < b.N; i++ {
-				g.WalkAhead(8, func(_ int, n *dag.Node) { sink += n.ID })
+				g.Reset()
+				for !g.Done() {
+					n := &g.Nodes[g.Frontier()[0]]
+					g.Execute(n.ID)
+					for _, q := range n.Gate.Qubits {
+						g.AheadOn(q, 8, func(_ int, n *dag.Node) { sink += n.ID })
+					}
+				}
 			}
 			_ = sink
 		}),

@@ -7,12 +7,12 @@ import (
 )
 
 // HotallocAnalyzer freezes the PR 4 performance wins: the compile hot path
-// (DAG frontier maintenance, the scheduler step, WalkAhead, the
-// SWAP-inserter and the sim engine's per-op methods) is allocation-free in
-// steady state, and the benchmarks pin it. This pass makes the invariant
-// reviewable without running benchmarks: inside any function whose doc
-// comment carries //mussti:hotpath, it flags constructs that heap-allocate
-// every call:
+// (DAG frontier maintenance, the scheduler step, the per-qubit look-ahead
+// query, the SWAP-inserter and the sim engine's per-op methods) is
+// allocation-free in steady state, and the benchmarks pin it. This pass
+// makes the invariant reviewable without running benchmarks: inside any
+// function whose doc comment carries //mussti:hotpath, it flags constructs
+// that heap-allocate every call:
 //
 //   - map and slice composite literals, &T{...} pointer literals,
 //     make and new;

@@ -161,25 +161,19 @@ func (r *gridRouter) bestMeetingTrap(a, b int) int {
 }
 
 // futurePartnerTraps returns the traps of a's partners within the next
-// LookAhead DAG layers, followed by b's. It deliberately keeps the two
-// window scans of the pre-refactor per-operand calls: merging them into one
-// scan would interleave the partners and change the floating-point
-// summation order of bestMeetingTrap's cost (bit-identical schedules are
-// this package's golden-output contract), so only the per-call allocation
-// was removed. The result is the router's reused scratch buffer, valid
-// until the next routed gate.
+// LookAhead DAG layers, followed by b's. It deliberately keeps a's and b's
+// lists apart rather than merging them by ID (dag.AheadOnPair): merging
+// would interleave the partners and change the floating-point summation
+// order of bestMeetingTrap's cost (bit-identical schedules are this
+// package's golden-output contract). The result is the router's reused
+// scratch buffer, valid until the next routed gate.
 func (r *gridRouter) futurePartnerTraps(a, b int) []int {
 	traps := r.trapScratch[:0]
-	r.g.WalkAhead(r.opts.LookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(a); p >= 0 {
-			traps = append(traps, r.eng.ZoneOf(p))
-		}
-	})
-	r.g.WalkAhead(r.opts.LookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(b); p >= 0 {
-			traps = append(traps, r.eng.ZoneOf(p))
-		}
-	})
+	for _, q := range [2]int{a, b} {
+		r.g.AheadOn(q, r.opts.LookAhead, func(_ int, n *dag.Node) {
+			traps = append(traps, r.eng.ZoneOf(n.Gate.Other(q)))
+		})
+	}
 	r.trapScratch = traps
 	return traps
 }

@@ -76,10 +76,10 @@ type attraction struct {
 	weight float64
 }
 
-// futureAttraction scans the look-ahead window once and returns, for the
-// two routed qubits, where their upcoming partners sit. Weights decay with
-// DAG layer so imminent gates dominate. The returned slice is the
-// scheduler's reused scratch buffer — valid until the next routed gate.
+// futureAttraction reads the two routed qubits' look-ahead windows and
+// returns where their upcoming partners sit. Weights decay with DAG layer
+// so imminent gates dominate. The returned slice is the scheduler's reused
+// scratch buffer — valid until the next routed gate.
 //
 //mussti:hotpath
 func (s *scheduler) futureAttraction(a, b int) []attraction {
@@ -88,7 +88,7 @@ func (s *scheduler) futureAttraction(a, b int) []attraction {
 	}
 	out := s.attractScratch[:0]
 	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(layer int, n *dag.Node) {
+	s.g.AheadOnPair(a, b, s.opts.LookAhead, func(layer int, n *dag.Node) {
 		for _, q := range [2]int{a, b} {
 			p := n.Gate.Other(q)
 			if p < 0 || p == a || p == b {

@@ -50,15 +50,9 @@ type scheduler struct {
 	// attractScratch is the reused buffer futureAttraction fills on every
 	// routed gate.
 	attractScratch []attraction
-	// wrowScratch is the reused single-qubit weight-table row of trySwapFor.
-	wrowScratch []int
-
-	// Multi-qubit weight-table scratch for pickSwapPartner, reused across
-	// SWAP-insertion checks: wtRowOf[q] is 1+q's row in the current query
-	// (0 = absent), wtRows the flat row backing, residentScratch the
-	// optical-zone candidate list. See weightTable/weightAt/clearWeightTable.
-	wtRowOf         []int32
-	wtRows          []int
+	// wrowScratch is the reused weight-table row of weightRow, and
+	// residentScratch pickSwapPartner's optical-zone candidate list.
+	wrowScratch     []int
 	residentScratch []int
 }
 

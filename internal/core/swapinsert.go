@@ -7,67 +7,13 @@ import (
 	"mussti/internal/dag"
 )
 
-// weightTable computes the §3.3 weight table W(q, c) for every qubit in qs
-// at once, scanning the look-ahead window a single time, into the
-// scheduler's reused scratch (wtRowOf/wtRows). Entry (q_i, c_j) counts
-// gates within the first k remaining DAG layers that pair q_i with a qubit
-// currently mapped to module c_j. Read entries with weightAt and release
-// the query with clearWeightTable before the next one; until then the
-// scratch rows stay valid. Replacing the old per-call map[int][]int, this
-// runs allocation-free in steady state — pickSwapPartner calls it on every
-// SWAP-insertion check.
-//
-//mussti:hotpath
-func (s *scheduler) weightTable(qs []int) {
-	nm := len(s.d.Modules)
-	if s.wtRowOf == nil {
-		s.wtRowOf = make([]int32, s.c.NumQubits) //mussti:allow=hotalloc one-time lazy scratch sizing
-	}
-	if need := len(qs) * nm; cap(s.wtRows) < need {
-		s.wtRows = make([]int, need) //mussti:allow=hotalloc scratch grows to the largest query, then stays
-	}
-	rows := s.wtRows[:len(qs)*nm]
-	for i := range rows {
-		rows[i] = 0
-	}
-	for i, q := range qs {
-		s.wtRowOf[q] = int32(i + 1)
-	}
-	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(_ int, n *dag.Node) {
-		a, b := n.Gate.Qubits[0], n.Gate.Qubits[1]
-		if r := s.wtRowOf[a]; r > 0 {
-			rows[int(r-1)*nm+s.moduleOf(b)]++
-		}
-		if r := s.wtRowOf[b]; r > 0 {
-			rows[int(r-1)*nm+s.moduleOf(a)]++
-		}
-	})
-	s.wtRows = rows
-}
-
-// weightAt reads W(q, cj) from the scratch filled by the last weightTable
-// call; q must have been in that call's query set.
-//
-//mussti:hotpath
-func (s *scheduler) weightAt(q, cj int) int {
-	return s.wtRows[(int(s.wtRowOf[q])-1)*len(s.d.Modules)+cj]
-}
-
-// clearWeightTable releases the query rows of qs so the next weightTable
-// call starts clean. O(len(qs)), not O(NumQubits).
-//
-//mussti:hotpath
-func (s *scheduler) clearWeightTable(qs []int) {
-	for _, q := range qs {
-		s.wtRowOf[q] = 0
-	}
-}
-
-// weightRow is weightTable for a single qubit, filling the scheduler's
-// reused row buffer instead of the multi-qubit scratch — trySwapFor runs
-// after every fiber gate, so this sits on the scheduling hot path. The
-// returned slice is valid until the next weightRow call.
+// weightRow returns row W(q, ·) of the §3.3 weight table: entry c_j
+// counts gates within the first k remaining DAG layers that pair q with a
+// qubit currently mapped to module c_j. It fills the scheduler's reused
+// row buffer from q's own look-ahead window — trySwapFor runs it after
+// every fiber gate and pickSwapPartner once per optical-zone resident, so
+// it sits on the scheduling hot path and allocates nothing in steady
+// state. The returned slice is valid until the next weightRow call.
 //
 //mussti:hotpath
 func (s *scheduler) weightRow(q int) []int {
@@ -79,10 +25,8 @@ func (s *scheduler) weightRow(q int) []int {
 		row[i] = 0
 	}
 	//mussti:allow=hotalloc visit closure pinned non-escaping by BenchmarkSchedulerPassReuse allocs/op
-	s.g.WalkAhead(s.opts.LookAhead, func(_ int, n *dag.Node) {
-		if p := n.Gate.Other(q); p >= 0 {
-			row[s.moduleOf(p)]++
-		}
+	s.g.AheadOn(q, s.opts.LookAhead, func(_ int, n *dag.Node) {
+		row[s.moduleOf(n.Gate.Other(q))]++
 	})
 	return row
 }
@@ -163,7 +107,7 @@ func (s *scheduler) trySwapFor(qx int) error {
 // paper's own example swaps an interface-resident qubit): the SWAP then
 // costs only its three fiber gates, with no staging shuttles whose heat
 // would degrade every later gate in the zone. Returns -1 when no resident
-// qualifies. The candidate list and the weight table both live in reused
+// qualifies. The candidate list and the weight rows both live in reused
 // scheduler scratch: this runs on every SWAP-insertion check and allocates
 // nothing in steady state.
 //
@@ -181,16 +125,14 @@ func (s *scheduler) pickSwapPartner(cj, exclude int) int {
 	if len(residents) == 0 {
 		return -1
 	}
-	s.weightTable(residents)
 	best, bestUsed := -1, int64(math.MaxInt64)
 	for _, q := range residents {
-		if s.weightAt(q, cj) != 0 {
+		if s.weightRow(q)[cj] != 0 {
 			continue
 		}
 		if s.lastUsed[q] < bestUsed {
 			best, bestUsed = q, s.lastUsed[q]
 		}
 	}
-	s.clearWeightTable(residents)
 	return best
 }

@@ -39,19 +39,25 @@ func BenchmarkFrontier(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkWalkAhead measures one look-ahead window scan (k=8, the MUSS-TI
-// default) from the middle of a drain — the position where the pre-watermark
-// implementation paid for every already-executed node below the frontier.
-func BenchmarkWalkAhead(b *testing.B) {
+// BenchmarkAheadOn measures the look-ahead pattern of the SWAP-insertion
+// check: after every Execute, query both operands' windows at k=8 (the
+// MUSS-TI default). One op is one full drain; set against
+// BenchmarkExecuteDrain it prices the queries, memo misses included, since
+// every Execute starts a new memo epoch.
+func BenchmarkAheadOn(b *testing.B) {
 	g := benchGraph(3)
-	for g.Remaining() > len(g.Nodes)/2 {
-		g.Execute(g.Frontier()[0])
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	sink := 0
 	for i := 0; i < b.N; i++ {
-		g.WalkAhead(8, func(layer int, n *Node) { sink += n.ID })
+		g.Reset()
+		for !g.Done() {
+			n := &g.Nodes[g.Frontier()[0]]
+			g.Execute(n.ID)
+			for _, q := range n.Gate.Qubits {
+				g.AheadOn(q, 8, func(layer int, n *Node) { sink += n.ID })
+			}
+		}
 	}
 	_ = sink
 }

@@ -39,8 +39,7 @@ type Graph struct {
 	ByQubit [][]int
 
 	// indegree[id] counts the *unexecuted* predecessors of id; it reaches 0
-	// exactly when id joins the frontier. WalkAhead reads it as the number
-	// of in-window relaxations a node needs before its layer is final.
+	// exactly when id joins the frontier.
 	indegree []int
 	executed []bool
 	// frontier holds the currently executable node IDs in ascending order.
@@ -51,20 +50,18 @@ type Graph struct {
 	// frontierBuf is the reused snapshot handed out by Frontier.
 	frontierBuf []int
 	nLeft       int
-	// watermark is the smallest unexecuted node ID (len(Nodes) when done).
-	// Everything below it is history: no look-ahead or frontier operation
-	// ever looks at IDs under the watermark again.
-	watermark int
 
-	// WalkAhead scratch, reused across calls so the steady state allocates
-	// nothing. waMark is an epoch stamp: entries of waDepth/waSeen are valid
-	// only where waMark equals the current generation, which makes clearing
-	// between calls O(touched) instead of O(nodes).
-	waDepth []int32
-	waSeen  []int32
-	waMark  []uint32
-	waGen   uint32
-	waHeap  []int32
+	// qpos[q] is the position in ByQubit[q] of q's first unexecuted node.
+	// q's nodes form a chain, so its executed nodes are always a prefix.
+	qpos []int32
+
+	// Look-ahead layer memo (see layer): memoLayer[id] is min(layer of id,
+	// memoBudget[id]), valid only where memoMark[id] equals epoch. Execute
+	// and Reset advance the epoch, which invalidates every memo in O(1).
+	memoLayer  []int32
+	memoBudget []int32
+	memoMark   []uint32
+	epoch      uint32
 }
 
 // Build constructs the graph from a circuit. Only two-qubit gates become
@@ -131,19 +128,22 @@ func Build(c *circuit.Circuit) *Graph {
 // a single Graph across the SABRE forward probe and every candidate
 // production pass (core's per-circuit prep), so Reset runs on the compile
 // hot path — it must restore every piece of execution state (indegree,
-// executed flags, frontier, watermark) and nothing else.
+// executed flags, frontier, per-qubit positions, the look-ahead memo
+// epoch) and nothing else.
 func (g *Graph) Reset() {
 	if g.indegree == nil {
 		n := len(g.Nodes)
 		g.indegree = make([]int, n)
 		g.executed = make([]bool, n)
-		g.waDepth = make([]int32, n)
-		g.waSeen = make([]int32, n)
-		g.waMark = make([]uint32, n)
+		g.qpos = make([]int32, len(g.ByQubit))
+		g.memoLayer = make([]int32, n)
+		g.memoBudget = make([]int32, n)
+		g.memoMark = make([]uint32, n)
 	}
+	clear(g.qpos)
+	g.nextEpoch()
 	g.frontier = g.frontier[:0]
 	g.nLeft = len(g.Nodes)
-	g.watermark = 0
 	for _, n := range g.Nodes {
 		g.executed[n.ID] = false
 		g.indegree[n.ID] = len(n.Pred)
@@ -179,11 +179,6 @@ func (g *Graph) Frontier() []int {
 	return g.frontierBuf
 }
 
-// FirstUnexecuted returns the smallest unexecuted node ID — the watermark
-// below which every node has executed — or len(Nodes) when the graph is
-// done. Look-ahead windows start no earlier than here.
-func (g *Graph) FirstUnexecuted() int { return g.watermark }
-
 // Executed reports whether node id has been executed.
 //
 //mussti:hotpath
@@ -204,10 +199,12 @@ func (g *Graph) Execute(id int) {
 	g.frontier = append(g.frontier[:pos], g.frontier[pos+1:]...)
 	g.executed[id] = true
 	g.nLeft--
-	for g.watermark < len(g.Nodes) && g.executed[g.watermark] {
-		g.watermark++
+	n := &g.Nodes[id]
+	for _, q := range n.Gate.Qubits {
+		g.qpos[q]++
 	}
-	for _, s := range g.Nodes[id].Succ {
+	g.nextEpoch()
+	for _, s := range n.Succ {
 		g.indegree[s]--
 		if g.indegree[s] == 0 {
 			g.frontierInsert(s)
@@ -258,7 +255,7 @@ func (g *Graph) frontierInsert(id int) {
 
 // Layers returns the ASAP layering of the graph: layer 0 is the initial
 // frontier, layer i+1 the nodes whose longest path from a source has length
-// i+1. Used by tests and by the look-ahead weight table.
+// i+1. Used by tests and by CriticalPathLen.
 func (g *Graph) Layers() [][]int {
 	depth := make([]int, len(g.Nodes))
 	var layers [][]int
@@ -278,118 +275,117 @@ func (g *Graph) Layers() [][]int {
 	return layers
 }
 
-// WalkAhead visits unexecuted nodes in the first k layers *of the remaining
-// graph* (layer = longest unexecuted-predecessor path), calling visit for
-// each with its remaining-layer index, in ascending node-ID order. This
-// implements the "first k layers of the DAG" window that the SWAP-insertion
-// weight table scans (§3.3).
+// AheadOn visits the unexecuted nodes touching qubit q that lie in the
+// first k layers *of the remaining graph* (layer = longest path through
+// unexecuted predecessors), calling visit for each with its layer, in
+// ascending node-ID order. This answers the per-qubit question the §3.3
+// SWAP-insertion weight table asks: where are q's partners in the next k
+// DAG layers?
 //
-// The traversal is O(window): it expands the dependency graph outwards from
-// the current frontier (every unexecuted node is reachable from it through
-// unexecuted predecessors, and none sits below the FirstUnexecuted
-// watermark) and stops expanding at layer k, so nodes beyond the window are
-// never touched — not even the already-executed prefix the pre-watermark
-// implementation rescanned from ID 0 on every call. All scratch state lives
-// on the Graph and is epoch-cleared, so steady-state calls allocate nothing.
-//
-// A node's layer is final once all its unexecuted predecessors have been
-// relaxed (indegree tracks exactly that count); nodes are released into a
-// min-ID heap at that moment. Because predecessors always carry smaller IDs,
-// release order never overtakes ID order, so popping the heap yields the
-// same ascending-ID visit sequence the naive full scan produced. A node kept
-// back by an out-of-window predecessor is itself beyond the window (its
-// layer exceeds the predecessor's) and is correctly never released.
+// Only q's own gate list is read: its i-th unexecuted entry sits in layer
+// i or deeper (q's gates form a chain), so at most the first k entries can
+// lie in the window, and the scan stops at the first one that does not.
+// Each layer comes from a memoized backward walk capped at k steps (see
+// layer), so a query costs O(k) nodes plus their unmemoized ancestors,
+// never the whole window.
 //
 //mussti:hotpath
-func (g *Graph) WalkAhead(k int, visit func(layer int, n *Node)) {
-	if k <= 0 || g.nLeft == 0 {
-		return
+func (g *Graph) AheadOn(q, k int, visit func(layer int, n *Node)) {
+	for _, id := range g.window(q, k) {
+		visit(int(g.memoLayer[id]), &g.Nodes[id])
 	}
-	g.waGen++
-	if g.waGen == 0 { // epoch counter wrapped: invalidate all stale marks
-		for i := range g.waMark {
-			g.waMark[i] = 0
-		}
-		g.waGen = 1
-	}
-	heap := g.waHeap[:0]
-	for _, id := range g.frontier {
-		g.waMark[id] = g.waGen
-		g.waDepth[id] = 0
-		heap = waHeapPush(heap, int32(id))
-	}
-	for len(heap) > 0 {
-		var id int32
-		id, heap = waHeapPop(heap)
-		d := g.waDepth[id]
-		if int(d) >= k {
-			// Beyond the window: successors are deeper still, so the whole
-			// subtree is pruned by simply not expanding it.
-			continue
-		}
-		visit(int(d), &g.Nodes[id])
-		for _, s := range g.Nodes[id].Succ {
-			if g.waMark[s] != g.waGen {
-				g.waMark[s] = g.waGen
-				g.waDepth[s] = d + 1
-				g.waSeen[s] = 1
-			} else {
-				if d+1 > g.waDepth[s] {
-					g.waDepth[s] = d + 1
-				}
-				g.waSeen[s]++
-			}
-			if int(g.waSeen[s]) == g.indegree[s] {
-				heap = waHeapPush(heap, int32(s))
-			}
-		}
-	}
-	g.waHeap = heap[:0] // keep capacity for the next call
 }
 
-// waHeapPush adds id to the binary min-heap h.
+// AheadOnPair is AheadOn for two qubits at once: it visits every window
+// node touching a or b exactly once, in ascending ID order — the order a
+// scan of the whole window would produce, which keeps callers' floating-
+// point accumulation order fixed.
+//
+//mussti:hotpath
+func (g *Graph) AheadOnPair(a, b, k int, visit func(layer int, n *Node)) {
+	wa, wb := g.window(a, k), g.window(b, k)
+	for len(wa) > 0 || len(wb) > 0 {
+		var id int
+		switch {
+		case len(wb) == 0 || len(wa) > 0 && wa[0] < wb[0]:
+			id, wa = wa[0], wa[1:]
+		case len(wa) == 0 || wb[0] < wa[0]:
+			id, wb = wb[0], wb[1:]
+		default: // a node touching both qubits heads both lists
+			id, wa, wb = wa[0], wa[1:], wb[1:]
+		}
+		visit(int(g.memoLayer[id]), &g.Nodes[id])
+	}
+}
+
+// window returns the prefix of q's unexecuted gate list that lies in the
+// first k remaining layers. On return memoLayer holds the exact layer of
+// every returned node: each was computed below its budget, so the memo is
+// exact and no later query of this epoch overwrites it.
+//
+//mussti:hotpath
+func (g *Graph) window(q, k int) []int {
+	if k > g.nLeft {
+		k = g.nLeft // no remaining layer is as deep as nLeft
+	}
+	if k <= 0 {
+		return nil
+	}
+	list := g.ByQubit[q][g.qpos[q]:]
+	if len(list) > k {
+		list = list[:k]
+	}
+	for i, id := range list {
+		if g.layer(id, int32(k)) >= int32(k) {
+			return list[:i]
+		}
+	}
+	return list
+}
+
+// layer returns min(remaining layer of id, budget). The backward walk
+// spends one unit of budget per predecessor step, so it never reaches more
+// than budget levels above id.
+//
+// Results are memoized for the current epoch together with the budget they
+// were computed under: a memo below its budget is the exact layer, and a
+// capped memo still answers any query whose budget is no larger. Only a
+// capped memo asked for a deeper answer is recomputed, so every node is
+// walked at most once per distinct budget per epoch.
+//
+//mussti:hotpath
+func (g *Graph) layer(id int, budget int32) int32 {
+	if g.memoMark[id] == g.epoch {
+		v, b := g.memoLayer[id], g.memoBudget[id]
+		if v < b || budget <= b {
+			return min(v, budget)
+		}
+	}
+	var d int32
+	if budget > 0 {
+		for _, p := range g.Nodes[id].Pred {
+			if !g.executed[p] {
+				d = max(d, g.layer(p, budget-1)+1)
+			}
+		}
+	}
+	g.memoMark[id] = g.epoch
+	g.memoLayer[id] = d
+	g.memoBudget[id] = budget
+	return d
+}
+
+// nextEpoch invalidates every layer memo: executing a node can lower the
+// remaining layer of anything that depends on it.
 //
 //mussti:hotpath
 //mussti:inline
-func waHeapPush(h []int32, id int32) []int32 {
-	h = append(h, id)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			break
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
+func (g *Graph) nextEpoch() {
+	g.epoch++
+	if g.epoch == 0 { // counter wrapped: clear the stale marks
+		clear(g.memoMark)
+		g.epoch = 1
 	}
-	return h
-}
-
-// waHeapPop removes and returns the minimum of h.
-//
-//mussti:hotpath
-func waHeapPop(h []int32) (int32, []int32) {
-	min := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return min, h
 }
 
 // CriticalPathLen returns the number of layers (two-qubit depth).

@@ -132,31 +132,37 @@ func TestLayers(t *testing.T) {
 	}
 }
 
-func TestWalkAheadWindow(t *testing.T) {
+func TestAheadOnWindow(t *testing.T) {
 	g := Build(chainCircuit(10)) // 9 nodes in a path: layer i = node i
 	var seen []int
-	g.WalkAhead(3, func(layer int, n *Node) {
+	g.AheadOn(1, 3, func(layer int, n *Node) { // qubit 1 is on nodes 0 and 1
 		seen = append(seen, n.ID)
 		if layer != n.ID {
 			t.Errorf("node %d reported layer %d", n.ID, layer)
 		}
 	})
-	if len(seen) != 3 {
-		t.Fatalf("walked %v, want first 3 layers", seen)
+	if len(seen) != 2 || seen[0] != 0 || seen[1] != 1 {
+		t.Fatalf("walked %v, want [0 1]", seen)
+	}
+	seen = nil
+	g.AheadOn(5, 3, func(int, *Node) { seen = append(seen, 5) })
+	if len(seen) != 0 {
+		t.Errorf("qubit 5 (nodes 4, 5) is beyond a 3-layer window, walked %v", seen)
 	}
 	// After executing node 0, the window shifts.
 	g.Execute(0)
 	seen = nil
-	g.WalkAhead(2, func(layer int, n *Node) { seen = append(seen, n.ID) })
+	g.AheadOnPair(2, 3, 2, func(layer int, n *Node) { seen = append(seen, n.ID) })
 	if len(seen) != 2 || seen[0] != 1 || seen[1] != 2 {
 		t.Errorf("walked %v after executing node 0, want [1 2]", seen)
 	}
 }
 
-func TestWalkAheadZeroWindow(t *testing.T) {
+func TestAheadOnZeroWindow(t *testing.T) {
 	g := Build(chainCircuit(4))
 	called := false
-	g.WalkAhead(0, func(int, *Node) { called = true })
+	g.AheadOn(1, 0, func(int, *Node) { called = true })
+	g.AheadOnPair(1, 2, 0, func(int, *Node) { called = true })
 	if called {
 		t.Error("k=0 walked nodes")
 	}

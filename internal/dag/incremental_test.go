@@ -32,8 +32,8 @@ func naiveFrontier(g *Graph) []int {
 
 // naiveWalkAhead is the reference look-ahead: a full ascending-ID scan over
 // all unexecuted nodes computing each one's remaining layer (longest path
-// through unexecuted predecessors), visiting those with layer < k. This is
-// the pre-watermark implementation the windowed traversal replaced.
+// through unexecuted predecessors), visiting those with layer < k — the
+// whole "first k layers of the DAG" window of §3.3.
 func naiveWalkAhead(g *Graph, k int, visit func(layer int, n *Node)) {
 	if k <= 0 {
 		return
@@ -61,10 +61,50 @@ func naiveWalkAhead(g *Graph, k int, visit func(layer int, n *Node)) {
 
 type visitRec struct{ layer, id int }
 
-func collectWalk(walk func(int, func(int, *Node)), k int) []visitRec {
+// naiveAhead is the reference answer for AheadOn and AheadOnPair: the
+// whole window win (collected from naiveWalkAhead) filtered to the nodes
+// touching any of qs.
+func naiveAhead(g *Graph, win []visitRec, qs ...int) []visitRec {
 	var out []visitRec
-	walk(k, func(layer int, n *Node) { out = append(out, visitRec{layer, n.ID}) })
+	for _, r := range win {
+		for _, q := range qs {
+			if g.Nodes[r.id].Gate.Touches(q) {
+				out = append(out, r)
+				break
+			}
+		}
+	}
 	return out
+}
+
+func naiveWindow(g *Graph, k int) []visitRec {
+	var out []visitRec
+	naiveWalkAhead(g, k, func(layer int, n *Node) { out = append(out, visitRec{layer, n.ID}) })
+	return out
+}
+
+func aheadOn(g *Graph, q, k int) []visitRec {
+	var out []visitRec
+	g.AheadOn(q, k, func(layer int, n *Node) { out = append(out, visitRec{layer, n.ID}) })
+	return out
+}
+
+func aheadOnPair(g *Graph, a, b, k int) []visitRec {
+	var out []visitRec
+	g.AheadOnPair(a, b, k, func(layer int, n *Node) { out = append(out, visitRec{layer, n.ID}) })
+	return out
+}
+
+func equalRecs(a, b []visitRec) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func equalInts(a, b []int) bool {
@@ -79,54 +119,53 @@ func equalInts(a, b []int) bool {
 	return true
 }
 
+// aheadKs mixes window sizes in one memo epoch: 1, k beyond the graph's
+// depth, and repeats after both smaller and larger budgets, so capped and
+// exact memos are both re-read.
+var aheadKs = []int{8, 1, 3, 2, 9, 5, math.MaxInt32, 8, 1, 3}
+
 // TestPropertyIncrementalMatchesNaive drains randomly generated circuits in
-// random executable order and checks, at every step, that the incremental
-// frontier, the watermark and the windowed WalkAhead agree exactly (same
-// nodes, same layers, same visit order) with recompute-from-scratch
-// references — the correctness contract behind ISSUE 4's hot-path rework.
+// random executable order, twice with a Reset between, and checks at every
+// step that the incremental frontier and the per-qubit and pair look-ahead
+// queries agree exactly (same nodes, same layers, same visit order) with
+// recompute-from-scratch references.
 func TestPropertyIncrementalMatchesNaive(t *testing.T) {
-	f := func(seed int64, pick uint8) bool {
-		c := randomCircuit(seed, 8, 80)
+	f := func(seed int64, pick uint8, width uint8) bool {
+		nq := 2 + int(width)%11
+		c := randomCircuit(seed, nq, 20+int(width))
 		g := Build(c)
 		rng := rand.New(rand.NewSource(int64(pick)))
-		for {
-			fr := append([]int(nil), g.Frontier()...)
-			if !equalInts(fr, naiveFrontier(g)) {
-				t.Logf("seed %d: frontier %v, naive %v", seed, fr, naiveFrontier(g))
-				return false
-			}
-			wantMark := len(g.Nodes)
-			for id := range g.Nodes {
-				if !g.Executed(id) {
-					wantMark = id
-					break
-				}
-			}
-			if g.FirstUnexecuted() != wantMark {
-				t.Logf("seed %d: watermark %d, want %d", seed, g.FirstUnexecuted(), wantMark)
-				return false
-			}
-			for _, k := range []int{1, 2, 3, 8, math.MaxInt32} {
-				got := collectWalk(g.WalkAhead, k)
-				want := collectWalk(func(k int, v func(int, *Node)) { naiveWalkAhead(g, k, v) }, k)
-				if len(got) != len(want) {
-					t.Logf("seed %d k=%d: %d visits, want %d", seed, k, len(got), len(want))
+		for run := 0; run < 2; run++ {
+			g.Reset()
+			for {
+				fr := append([]int(nil), g.Frontier()...)
+				if !equalInts(fr, naiveFrontier(g)) {
+					t.Logf("seed %d: frontier %v, naive %v", seed, fr, naiveFrontier(g))
 					return false
 				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Logf("seed %d k=%d visit %d: %+v, want %+v", seed, k, i, got[i], want[i])
+				for _, k := range aheadKs {
+					win := naiveWindow(g, k)
+					for q := 0; q < nq; q++ {
+						if got, want := aheadOn(g, q, k), naiveAhead(g, win, q); !equalRecs(got, want) {
+							t.Logf("seed %d run %d k=%d q=%d: %v, want %v", seed, run, k, q, got, want)
+							return false
+						}
+					}
+					a, b := rng.Intn(nq), rng.Intn(nq)
+					if got, want := aheadOnPair(g, a, b, k), naiveAhead(g, win, a, b); !equalRecs(got, want) {
+						t.Logf("seed %d run %d k=%d pair (%d,%d): %v, want %v", seed, run, k, a, b, got, want)
 						return false
 					}
 				}
+				if g.Done() {
+					break
+				}
+				g.Execute(fr[rng.Intn(len(fr))])
 			}
-			if g.Done() {
-				return g.FirstUnexecuted() == len(g.Nodes)
-			}
-			g.Execute(fr[rng.Intn(len(fr))])
 		}
+		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
 }
@@ -137,7 +176,10 @@ func TestIncrementalSurvivesReset(t *testing.T) {
 	c := randomCircuit(42, 6, 50)
 	g := Build(c)
 	before := append([]int(nil), g.Frontier()...)
-	walkBefore := collectWalk(g.WalkAhead, 4)
+	var aheadBefore [][]visitRec
+	for q := 0; q < c.NumQubits; q++ {
+		aheadBefore = append(aheadBefore, aheadOn(g, q, 4))
+	}
 	for i := 0; i < 10 && !g.Done(); i++ {
 		g.Execute(g.Frontier()[0])
 	}
@@ -145,16 +187,27 @@ func TestIncrementalSurvivesReset(t *testing.T) {
 	if !equalInts(append([]int(nil), g.Frontier()...), before) {
 		t.Errorf("frontier after reset = %v, want %v", g.Frontier(), before)
 	}
-	after := collectWalk(g.WalkAhead, 4)
-	if len(after) != len(walkBefore) {
-		t.Fatalf("walk after reset visited %d nodes, want %d", len(after), len(walkBefore))
-	}
-	for i := range after {
-		if after[i] != walkBefore[i] {
-			t.Errorf("walk visit %d = %+v, want %+v", i, after[i], walkBefore[i])
+	for q := 0; q < c.NumQubits; q++ {
+		if got := aheadOn(g, q, 4); !equalRecs(got, aheadBefore[q]) {
+			t.Errorf("qubit %d window after reset = %v, want %v", q, got, aheadBefore[q])
 		}
 	}
-	if g.FirstUnexecuted() != 0 {
-		t.Errorf("watermark after reset = %d, want 0", g.FirstUnexecuted())
+}
+
+// TestAheadOnEpochWrap pins that a wrapped memo epoch clears the stale
+// marks instead of reading memos from 2^32 executions ago as current. On a
+// chain every Execute lowers every remaining layer, so a stale memo shows.
+func TestAheadOnEpochWrap(t *testing.T) {
+	const n = 12
+	g := Build(chainCircuit(n))
+	g.epoch = math.MaxUint32 - 2
+	for !g.Done() {
+		win := naiveWindow(g, 3)
+		for q := 0; q < n; q++ {
+			if got, want := aheadOn(g, q, 3), naiveAhead(g, win, q); !equalRecs(got, want) {
+				t.Fatalf("epoch %d qubit %d: %v, want %v", g.epoch, q, got, want)
+			}
+		}
+		g.Execute(g.Frontier()[0])
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"mussti/internal/arch"
+	"mussti/internal/circuit"
+	"mussti/internal/core"
 	"mussti/internal/eval"
 )
 
@@ -422,6 +424,53 @@ func TestJobErrorsAreNotRetried(t *testing.T) {
 	}
 }
 
+// blockingCompiler is a registry compiler for the worker helper: it marks
+// its start by creating the file "started" in $MUSSTI_DIST_BLOCK_DIR, then
+// holds the compile until the test creates "release" there (or its context
+// ends), so the coordinator can cancel a job that is provably in flight
+// however fast the real compilers get. Coordinator and workers are the same
+// test binary, so both resolve it from the registry.
+type blockingCompiler struct{}
+
+func (blockingCompiler) Name() string { return "dist-block-test" }
+
+func (blockingCompiler) Compile(ctx context.Context, _ *circuit.Circuit, _ arch.Target, _ *core.CompileConfig) (*core.Result, error) {
+	dir := os.Getenv("MUSSTI_DIST_BLOCK_DIR")
+	if dir == "" {
+		return nil, errors.New("dist-block-test: MUSSTI_DIST_BLOCK_DIR unset")
+	}
+	if err := os.WriteFile(filepath.Join(dir, "started"), nil, 0o644); err != nil {
+		return nil, err
+	}
+	for {
+		if _, err := os.Stat(filepath.Join(dir, "release")); err == nil {
+			return nil, errors.New("dist-block-test: released")
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+}
+
+func init() { core.MustRegisterCompiler(blockingCompiler{}) }
+
+// waitForFile polls until path exists or the deadline passes.
+func waitForFile(t *testing.T, path string, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never appeared", path)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestCancelLeavesNoOrphansOrGoroutines is PR 2's cancellation discipline
 // extended across process boundaries: cancelling the coordinator's context
 // mid-compile must abort promptly, and — after Close — leave neither
@@ -430,7 +479,8 @@ func TestJobErrorsAreNotRetried(t *testing.T) {
 // is dropped on arrival and the worker lives on for the next job.)
 func TestCancelLeavesNoOrphansOrGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
-	coord := helperCoordinator(t, 2, nil)
+	blockDir := t.TempDir()
+	coord := helperCoordinator(t, 2, nil, "MUSSTI_DIST_BLOCK_DIR="+blockDir)
 
 	// Snapshot the fleet's PIDs while it is alive.
 	pids := coordPIDs(coord)
@@ -439,13 +489,15 @@ func TestCancelLeavesNoOrphansOrGoroutines(t *testing.T) {
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	s := eval.CompileSpec{App: "SQRT_n299", Compiler: "mussti"} // ~300ms compile: plenty of time to cancel mid-job
+	s := eval.CompileSpec{App: "GHZ_n4", Compiler: blockingCompiler{}.Name()}
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := coord.RunJob(ctx, eval.Job{Spec: &s})
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	// Cancel only once a worker is inside the compile. It stays blocked
+	// until released below, so RunJob can only return through the cancel.
+	waitForFile(t, filepath.Join(blockDir, "started"), 10*time.Second)
 	cancel()
 	select {
 	case err := <-errCh:
@@ -454,6 +506,10 @@ func TestCancelLeavesNoOrphansOrGoroutines(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunJob did not return after cancellation")
+	}
+	// Let the abandoned compile finish so the worker exits on stdin EOF.
+	if err := os.WriteFile(filepath.Join(blockDir, "release"), nil, 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if err := coord.Close(); err != nil {
 		t.Fatal(err)

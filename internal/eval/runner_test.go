@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"mussti/internal/arch"
+	"mussti/internal/circuit"
 	"mussti/internal/core"
 )
 
@@ -56,36 +58,63 @@ func TestRunnerPreCancelled(t *testing.T) {
 	}
 }
 
+// blockingCompiler is a registry compiler that announces each compile on
+// started and then holds it until its context is done, so a test can cancel
+// while a job is provably in flight however fast the real compilers get.
+type blockingCompiler struct{ started chan struct{} }
+
+func (blockingCompiler) Name() string { return "eval-block-test" }
+
+func (b blockingCompiler) Compile(ctx context.Context, _ *circuit.Circuit, _ arch.Target, _ *core.CompileConfig) (*core.Result, error) {
+	b.started <- struct{}{}
+	<-ctx.Done()
+	return nil, ctx.Err()
+}
+
+// The buffer holds one signal per job of TestRunnerCancelledMidRun, so an
+// announcing compile never blocks on a reader that has already cancelled.
+var blockCompiler = blockingCompiler{started: make(chan struct{}, cancelledRunJobs)}
+
+const cancelledRunJobs = 4
+
+func init() { core.MustRegisterCompiler(blockCompiler) }
+
 func TestRunnerCancelledMidRun(t *testing.T) {
 	// Cancellation must land while the pool is still working; the runner
 	// must abort in-flight compiles and skip unstarted jobs instead of
-	// draining the whole list. Each job is a SQRT_n299 compile (~300ms —
-	// two orders of magnitude above the 5ms cancel delay, so the cancel
-	// always arrives mid-compile however fast the hardware; GHZ-sized jobs
-	// here became so cheap that a whole list could finish first).
+	// draining the whole list. The cancel fires once a compile has started,
+	// and every compile blocks until cancelled, so a runner that failed to
+	// propagate the cancel would hang rather than finish early.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := NewRunner(2)
 	// The jobs are identical; with the cache on they collapse into one
 	// compile.
 	r.DisableCache()
-	jobs := make([]Job, 4)
+	jobs := make([]Job, cancelledRunJobs)
 	for i := range jobs {
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "SQRT_n299", Opts: core.DefaultOptions()}}
+		jobs[i] = Job{Spec: &CompileSpec{App: "GHZ_n4", Compiler: blockCompiler.Name()}}
 	}
 	go func() {
-		time.Sleep(5 * time.Millisecond)
+		<-blockCompiler.started
 		cancel()
 	}()
-	start := time.Now()
-	_, err := r.Run(ctx, jobs)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Run(ctx, jobs)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("cancelled run did not return: the in-flight compiles never saw the cancel")
 	}
-	// Draining all four compiles would take >600ms on two workers; a
-	// prompt abort stops the in-flight ones within one scheduler step.
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("cancelled run took %s, want a prompt return", elapsed)
+	// Drain the start signals of compiles that began before the cancel.
+	for len(blockCompiler.started) > 0 {
+		<-blockCompiler.started
 	}
 }
 

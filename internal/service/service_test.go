@@ -340,6 +340,11 @@ func TestAdmissionControl(t *testing.T) {
 		}
 	})
 	s, ts := newTestServer(t, Options{MaxInFlight: 1, MaxQueue: 1})
+	var releaseOnce sync.Once
+	unblockFirst := func() { releaseOnce.Do(func() { close(release) }) }
+	// Registered after the server, so it runs before the server's Close: a
+	// failed check must not leave the first compile holding the server.
+	t.Cleanup(unblockFirst)
 
 	post := func(app string, out chan<- int) {
 		resp, err := http.Post(ts.URL+"/v1/compile", "application/json",
@@ -376,7 +381,7 @@ func TestAdmissionControl(t *testing.T) {
 		t.Fatalf("overflow request status = %d, want 429", code)
 	}
 
-	close(release)
+	unblockFirst()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first request status = %d", code)
 	}
@@ -396,8 +401,8 @@ func TestAdmissionControl(t *testing.T) {
 	// its queue place and is admitted.
 	started2 := make(chan struct{}, 4)
 	release2 := make(chan struct{})
-	var releaseOnce sync.Once
-	unblock := func() { releaseOnce.Do(func() { close(release2) }) }
+	var release2Once sync.Once
+	unblock := func() { release2Once.Do(func() { close(release2) }) }
 	t.Cleanup(unblock) // a failed check must not leave the blocker holding the server
 	testCompiler.set(t, func(ctx context.Context) (*core.Result, error) {
 		started2 <- struct{}{}
