@@ -33,15 +33,21 @@ func main() {
 	fmt.Printf("execution time:  %.0f µs\n", m.MakespanUS)
 	fmt.Printf("fidelity:        %.4f\n\n", m.Fidelity.Value())
 
-	// Show where the photonic link fired: those are exactly the chain
-	// gates whose qubits sit on different modules.
+	// Show where the photonic link fired: the chain gates whose qubits sit
+	// on different modules ("fiber") and the three MS gates of every SWAP
+	// the compiler inserted ("swapfiber").
 	fmt.Println("fiber gates on the entanglement module:")
 	for _, op := range res.Trace {
-		if op.Kind != "fiber" {
+		note := ""
+		switch op.Kind {
+		case "fiber":
+		case "swapfiber":
+			note = "  part of an inserted SWAP"
+		default:
 			continue
 		}
-		fmt.Printf("  t=%8.0f µs  q%-3d — q%-3d  (optical zones %d ↔ %d)\n",
-			op.StartUS, op.Qubits[0], op.Qubits[1], op.Zone, op.ZoneB)
+		fmt.Printf("  t=%8.0f µs  q%-3d — q%-3d  (optical zones %d ↔ %d)%s\n",
+			op.StartUS, op.Qubits[0], op.Qubits[1], op.Zone, op.ZoneB, note)
 	}
 
 	// Module occupancy after the run: the GHZ chain stays clustered.

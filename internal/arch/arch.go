@@ -106,7 +106,14 @@ type Device struct {
 	// IntraDistanceUM answers from it in O(1); when nil — a hand-assembled
 	// Device literal — it falls back to computing per call.
 	dist []float64
+	// byLevel[m*numLevels+l] lists module m's zones at level l in segment
+	// order, filled by PrecomputeDistances. ZonesByLevel answers from it
+	// without allocating; when nil it falls back to a per-call scan.
+	byLevel [][]int
 }
+
+// numLevels is the number of zone levels, storage through optical.
+const numLevels = int(LevelOptical) + 1
 
 // Config describes an EML-QCCD build.
 type Config struct {
@@ -221,10 +228,11 @@ func New(cfg Config) (*Device, error) {
 }
 
 // PrecomputeDistances builds the intra-module zone-distance matrix behind
-// IntraDistanceUM, turning every later distance query into one array read.
-// New and Grid.Device call it automatically; builders that assemble a Device
-// literally (or mutate zone geometry afterwards) may call it themselves —
-// or not, in which case distances are computed per call as before.
+// IntraDistanceUM and the per-(module, level) zone lists behind
+// ZonesByLevel, turning every later query into an array read. New and
+// Grid.Device call it automatically; builders that assemble a Device
+// literally (or mutate zones or geometry afterwards) may call it themselves
+// — or not, in which case both are computed per call as before.
 func (d *Device) PrecomputeDistances() {
 	nz := len(d.Zones)
 	dist := make([]float64, nz*nz)
@@ -239,6 +247,13 @@ func (d *Device) PrecomputeDistances() {
 		}
 	}
 	d.dist = dist
+	byLevel := make([][]int, len(d.Modules)*numLevels)
+	for m := range d.Modules {
+		for l := range numLevels {
+			byLevel[m*numLevels+l] = d.zonesByLevelSlow(m, Level(l))
+		}
+	}
+	d.byLevel = byLevel
 }
 
 // intraDistanceSlow computes one intra-module distance from first
@@ -289,8 +304,21 @@ func (d *Device) Capacity() int {
 	return total
 }
 
-// ZonesByLevel returns the zone IDs of module m at the given level.
+// ZonesByLevel returns the zone IDs of module m at the given level, in
+// segment order. On devices built by New or Grid.Device the slice is the
+// device's own precomputed list; callers must not mutate it.
+//
+//mussti:hotpath
 func (d *Device) ZonesByLevel(m int, level Level) []int {
+	if d.byLevel != nil && level >= 0 && int(level) < numLevels {
+		return d.byLevel[m*numLevels+int(level)]
+	}
+	return d.zonesByLevelSlow(m, level)
+}
+
+// zonesByLevelSlow scans module m's zones for the given level; it fills
+// PrecomputeDistances' table and serves devices without one.
+func (d *Device) zonesByLevelSlow(m int, level Level) []int {
 	var out []int
 	for _, z := range d.Modules[m].Zones {
 		if d.Zones[z].Level == level {

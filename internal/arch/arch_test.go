@@ -1,6 +1,7 @@
 package arch
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -74,6 +75,25 @@ func TestZonesByLevelAndOptical(t *testing.T) {
 		if got := len(d.ZonesByLevel(m, LevelStorage)); got != 2 {
 			t.Errorf("module %d storage zones = %d, want 2", m, got)
 		}
+	}
+}
+
+// TestZonesByLevelTableMatchesScan checks the precomputed per-(module,
+// level) lists against the scan a device literal falls back to, and that
+// the precomputed answer allocates nothing.
+func TestZonesByLevelTableMatchesScan(t *testing.T) {
+	d := MustNew(Config{Modules: 3, TrapCapacity: 8, StorageZones: 2, OperationZones: 1, OpticalZones: 2})
+	literal := &Device{Zones: d.Zones, Modules: d.Modules, TrapCapacity: d.TrapCapacity, ZonePitchUM: d.ZonePitchUM}
+	for m := range d.Modules {
+		for _, l := range LevelsDescending() {
+			got, want := d.ZonesByLevel(m, l), literal.ZonesByLevel(m, l)
+			if !slices.Equal(got, want) || len(want) == 0 {
+				t.Errorf("module %d %v: table %v, scan %v", m, l, got, want)
+			}
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() { d.ZonesByLevel(1, LevelOptical) }); a != 0 {
+		t.Errorf("ZonesByLevel allocates %v times per call", a)
 	}
 }
 

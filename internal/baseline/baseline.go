@@ -195,6 +195,12 @@ type gridRouter struct {
 	// trapScratch is the reused buffer of futurePartnerTraps (Dai's
 	// look-ahead destination choice, run once per routed gate).
 	trapScratch []int
+	// nbrs is the grid's adjacency, built once per compile; visited, ring
+	// and nextRing are spillTarget's breadth-first-search scratch, sized to
+	// the grid so they never grow.
+	nbrs           [][]int
+	visited        []bool
+	ring, nextRing []int
 }
 
 func (r *gridRouter) init() error {
@@ -203,6 +209,14 @@ func (r *gridRouter) init() error {
 	r.cursor = make([]int, n)
 	r.lastUsed = make([]int64, n)
 	r.home = make([]int, n)
+	traps := r.grid.NumTraps()
+	r.nbrs = make([][]int, traps)
+	for t := range r.nbrs {
+		r.nbrs[t] = r.grid.Neighbors(t)
+	}
+	r.visited = make([]bool, traps)
+	r.ring = make([]int, 0, traps)
+	r.nextRing = make([]int, 0, traps)
 	// Row-major sequential fill, the trivial mapping all three original
 	// systems start from. MQT reserves its processing trap (trap 0).
 	trap := 0

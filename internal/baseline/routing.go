@@ -53,16 +53,21 @@ func (r *gridRouter) evictionVictim(trap, protectA, protectB int) int {
 
 // spillTarget finds the nearest trap with free space by breadth-first
 // search from the congested trap, preferring the least-loaded trap among
-// the nearest ring. Returns (-1, 0) only when the whole grid is full.
+// the nearest ring. Returns (-1, 0) only when the whole grid is full. Each
+// trap enters a ring at most once, so the grid-sized scratch rings never
+// grow.
+//
+//mussti:hotpath
 func (r *gridRouter) spillTarget(trap int) (target, hops int) {
-	visited := make([]bool, r.grid.NumTraps())
+	visited := r.visited
+	clear(visited)
 	visited[trap] = true
-	ring := []int{trap}
+	ring, next := append(r.ring[:0], trap), r.nextRing
 	for depth := 1; len(ring) > 0; depth++ {
-		var next []int
+		next = next[:0]
 		best, bestLoad := -1, math.MaxInt32
 		for _, t := range ring {
-			for _, nb := range r.grid.Neighbors(t) {
+			for _, nb := range r.nbrs[t] {
 				if visited[nb] {
 					continue
 				}
@@ -78,7 +83,7 @@ func (r *gridRouter) spillTarget(trap int) (target, hops int) {
 		if best != -1 {
 			return best, depth
 		}
-		ring = next
+		ring, next = next, ring
 	}
 	return -1, 0
 }

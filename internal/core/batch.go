@@ -32,8 +32,12 @@ type BatchCompiler interface {
 // building the per-circuit preparation — dependency DAG, per-qubit gate
 // lists, next-use tables — once and replaying it for each variant via
 // Graph.Reset, exactly like back-to-back Compile calls. Variants compile one
-// after another on the calling goroutine; callers wanting concurrency run
-// several batches (eval's Runner gives each batch unit one pool slot).
+// after another on the calling goroutine, each with CompileContext's pass
+// order (for MappingSABRE: trivial production pass, reverse probe, SABRE
+// production pass), so a variant's Observer sees its trivial pass and then
+// its SABRE pass before the next variant starts. Callers wanting
+// concurrency run several batches (eval's Runner gives each batch unit one
+// pool slot).
 //
 // results[i] corresponds to variants[i] and is byte-identical to what
 // Compile(c, variants[i]...) returns (modulo the wall-clock CompileTime,

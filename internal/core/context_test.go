@@ -166,3 +166,69 @@ func TestObserverDoesNotChangeSchedule(t *testing.T) {
 		t.Errorf("metrics differ with observer attached: %+v vs %+v", bare.Metrics, observed.Metrics)
 	}
 }
+
+// passObserver splits the callbacks of one compile into scheduling passes:
+// a pass ends with its GateScheduled(total, total) tick, and every later
+// callback belongs to the next pass.
+type passObserver struct {
+	t      *testing.T
+	passes []passTally
+}
+
+type passTally struct{ done, total, moves int }
+
+func (o *passObserver) current() *passTally {
+	if n := len(o.passes); n == 0 || o.passes[n-1].done == o.passes[n-1].total {
+		o.passes = append(o.passes, passTally{total: -1})
+	}
+	return &o.passes[len(o.passes)-1]
+}
+
+func (o *passObserver) GateScheduled(done, total int) {
+	p := o.current()
+	if done != p.done+1 || (p.total != -1 && total != p.total) {
+		o.t.Errorf("pass %d: tick %d/%d after %d/%d", len(o.passes), done, total, p.done, p.total)
+	}
+	p.done, p.total = done, total
+}
+func (o *passObserver) Shuttle(q, from, to int)       { o.current().moves++ }
+func (o *passObserver) Eviction(victim, from, to int) { o.current().moves++ }
+func (o *passObserver) SwapInserted(a, b int)         {}
+
+// TestObserverSeesTwoProductionPasses pins the observer order of a default
+// (SABRE) compile: the trivial production pass, then the SABRE production
+// pass, each complete. The reverse probe reports nothing.
+func TestObserverSeesTwoProductionPasses(t *testing.T) {
+	c := bench.MustByName("Adder_n128")
+	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
+	trivOpts := DefaultOptions()
+	trivOpts.Mapping = MappingTrivial
+	triv, err := Compile(c, d, trivOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &passObserver{t: t}
+	opts := DefaultOptions()
+	opts.Observer = obs
+	res, err := Compile(c, d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics == triv.Metrics {
+		t.Fatal("the trivial candidate won; the test needs a circuit where SABRE wins")
+	}
+	if len(obs.passes) != 2 {
+		t.Fatalf("observer saw %d passes, want 2: %+v", len(obs.passes), obs.passes)
+	}
+	for i, p := range obs.passes {
+		if p.done != p.total {
+			t.Errorf("pass %d ended at %d/%d, want a complete pass", i, p.done, p.total)
+		}
+	}
+	if got := obs.passes[0].moves; got != triv.Metrics.Shuttles {
+		t.Errorf("first pass made %d moves, the trivial compile %d shuttles", got, triv.Metrics.Shuttles)
+	}
+	if got := obs.passes[1].moves; got != res.Metrics.Shuttles {
+		t.Errorf("second pass made %d moves, the SABRE compile %d shuttles", got, res.Metrics.Shuttles)
+	}
+}

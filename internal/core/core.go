@@ -69,14 +69,18 @@ func Compile(c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) 
 }
 
 // CompileContext is Compile with cooperative cancellation: the scheduling
-// loops (including the SABRE probe passes) check ctx at every frontier
+// loops (including the SABRE reverse probe) check ctx at every frontier
 // step, so a cancelled or expired context aborts a long compile within one
 // scheduler step and surfaces ctx.Err().
 //
-// A compile runs entirely on the calling goroutine: the SABRE probes and
-// the candidate production passes execute one after another over one prep,
-// so Observer callbacks arrive in pass order and concurrency is the
-// caller's business (eval's Runner holds one pool slot per compile).
+// A compile runs entirely on the calling goroutine, one pass after another
+// over one prep. MappingTrivial makes one production pass from the trivial
+// mapping. MappingSABRE makes three: the trivial production pass (which
+// doubles as the §3.4 forward probe), the reverse probe, and the SABRE
+// production pass. The Observer sees the two production passes, trivial
+// first, each as a complete pass; the reverse probe reports nothing.
+// Concurrency is the caller's business (eval's Runner holds one pool slot
+// per compile).
 func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	if c.NumQubits > d.Capacity() {
@@ -96,31 +100,44 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 	return res, nil
 }
 
-// compileWithPrep runs the candidate loop over an existing prep. opts must
-// already be withDefaults-normalised and the circuit known to fit d (the
-// callers — CompileContext and CompileBatch — check capacity). CompileTime
-// is left zero for the caller to stamp.
+// compileWithPrep runs the production passes over an existing prep. opts
+// must already be withDefaults-normalised and the circuit known to fit d
+// (the callers — CompileContext and CompileBatch — check capacity).
+// CompileTime is left zero for the caller to stamp.
+//
+// Under MappingSABRE the trivial candidate's production pass runs first:
+// it starts from the same mapping as the §3.4 forward probe and the
+// scheduler reads no option the two would set differently, so its final
+// mapping is the probe's. The SABRE candidate wins unless the trivial one
+// reaches strictly higher fidelity: the search is a heuristic, and falling
+// back costs only compile time (which the Fig. 11 trade-off accounts for).
 func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
-	candidates, err := candidateMappings(ctx, p, d, opts)
+	if opts.Mapping != MappingTrivial && opts.Mapping != MappingSABRE {
+		return nil, fmt.Errorf("core: unknown mapping strategy %d", opts.Mapping)
+	}
+	initial, err := trivialMapping(p.c.NumQubits, d)
 	if err != nil {
 		return nil, err
 	}
-	var best *Result
-	for _, initial := range candidates {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := runCandidate(ctx, p, d, opts, initial)
-		if err != nil {
-			return nil, err
-		}
-		// Candidates are offered in index order and a later one wins only
-		// by strictly higher fidelity, so every tie-break is deterministic.
-		if best == nil || res.Metrics.Fidelity.Log() > best.Metrics.Fidelity.Log() {
-			best = res
-		}
+	trivial, err := runCandidate(ctx, p, d, opts, initial)
+	if err != nil {
+		return nil, err
 	}
-	return best, nil
+	if opts.Mapping == MappingTrivial {
+		return trivial, nil
+	}
+	initial, err = reverseProbe(ctx, p.c, d, opts, trivial.FinalMapping)
+	if err != nil {
+		return nil, err
+	}
+	sabre, err := runCandidate(ctx, p, d, opts, initial)
+	if err != nil {
+		return nil, err
+	}
+	if trivial.Metrics.Fidelity.Log() > sabre.Metrics.Fidelity.Log() {
+		return trivial, nil
+	}
+	return sabre, nil
 }
 
 // runCandidate executes one production pass from the given initial mapping
@@ -148,32 +165,4 @@ func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts Options, in
 		res.Report = &rep
 	}
 	return res, nil
-}
-
-// candidateMappings returns the initial mappings the compiler will try.
-// SABRE evaluates both the two-fold-search mapping and the trivial one and
-// Compile keeps whichever schedule reaches the higher fidelity: the search
-// is a heuristic, and falling back costs only compile time (which the
-// Fig. 11 trade-off accounts for).
-func candidateMappings(ctx context.Context, p *prep, d *arch.Device, opts Options) ([][]int, error) {
-	switch opts.Mapping {
-	case MappingTrivial:
-		m, err := trivialMapping(p.c.NumQubits, d)
-		if err != nil {
-			return nil, err
-		}
-		return [][]int{m}, nil
-	case MappingSABRE:
-		triv, err := trivialMapping(p.c.NumQubits, d)
-		if err != nil {
-			return nil, err
-		}
-		sab, err := sabreMapping(ctx, p, d, opts)
-		if err != nil {
-			return nil, err
-		}
-		return [][]int{sab, triv}, nil
-	default:
-		return nil, fmt.Errorf("core: unknown mapping strategy %d", opts.Mapping)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"mussti/internal/arch"
+	"mussti/internal/circuit"
 )
 
 // trivialMapping places qubits sequentially into zones ordered by level
@@ -55,51 +56,31 @@ func moduleBudget(d *arch.Device, m int) int {
 	return budget
 }
 
-// sabreMapping is the two-fold search of §3.4: execute the circuit from a
-// trivial mapping, take the final placement π′, execute the *reversed*
-// circuit from π′ to obtain π″, and use π″ as the production run's initial
-// mapping. The reverse pass pre-loads qubits near their earliest
-// interactions, the "memory pre-loading" analogy of the paper.
+// reverseProbe is the second half of the two-fold search of §3.4: execute
+// the *reversed* circuit from π′, the final placement of a forward pass from
+// the trivial mapping, and return its final placement π″ as the SABRE
+// production pass's initial mapping. The reverse pass pre-loads qubits near
+// their earliest interactions, the "memory pre-loading" analogy of the
+// paper. compileWithPrep's trivial production pass is the forward pass.
 //
-// The forward probe replays the caller's prep (the production runs reuse
-// it again afterwards); the reversed circuit — a different gate order,
-// hence a different DAG — gets its prep from the per-circuit cache in
-// prepcache.go, so repeated compiles of one circuit reverse it once.
-func sabreMapping(ctx context.Context, p *prep, d *arch.Device, opts Options) ([]int, error) {
-	probe := opts
-	probe.Mapping = MappingTrivial
-	probe.Trace = false
-	// Probe passes exist only to derive a placement; progress ticks from
-	// them would interleave confusingly with the production run's.
-	probe.Observer = nil
-	// The probe passes only need placement dynamics, not SWAP insertion —
-	// but keeping insertion identical to the production run makes the
-	// final mapping consistent with how the run will actually behave.
-	trivial, err := trivialMapping(p.c.NumQubits, d)
-	if err != nil {
-		return nil, err
+// The probe only derives a placement, so it records no trace and reports
+// nothing to the Observer; SWAP insertion stays as configured, so π″
+// reflects how the production pass will actually behave. The reversed
+// circuit — a different gate order, hence a different DAG — gets its prep
+// from the per-circuit cache in prepcache.go, so repeated compiles of one
+// circuit reverse it once. forward is only read, so the caller may pass a
+// Result's FinalMapping as it is.
+func reverseProbe(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options, forward []int) ([]int, error) {
+	opts.Trace = false
+	opts.Observer = nil
+	rprep, pool := acquireReversePrep(c)
+	defer pool.Put(rprep)
+	s, err := newSchedulerWith(ctx, rprep, d, opts, forward)
+	if err == nil {
+		err = s.run()
 	}
-	forward, err := runForMapping(ctx, p, d, probe, trivial)
-	if err != nil {
-		return nil, fmt.Errorf("core: sabre forward pass: %w", err)
-	}
-	rprep, pool := acquireReversePrep(p.c)
-	backward, err := runForMapping(ctx, rprep, d, probe, forward)
-	pool.Put(rprep)
 	if err != nil {
 		return nil, fmt.Errorf("core: sabre reverse pass: %w", err)
-	}
-	return backward, nil
-}
-
-// runForMapping executes one scheduling pass and returns the final mapping.
-func runForMapping(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) ([]int, error) {
-	s, err := newSchedulerWith(ctx, p, d, opts, initial)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.run(); err != nil {
-		return nil, err
 	}
 	return s.mappingSnapshot(), nil
 }

@@ -7,8 +7,9 @@ package core
 //
 // Callbacks arrive synchronously on the compiling goroutine: they must be
 // cheap and must not call back into the compiler. One Compile run may
-// restart the gate count — SABRE evaluates several candidate mappings, each
-// a full scheduling pass — so done can move backwards between passes.
+// restart the gate count — under MappingSABRE the Observer sees two full
+// production passes, the trivial candidate's and then the SABRE
+// candidate's — so done can move backwards between passes.
 // Implementations attached to several concurrent compilations must be safe
 // for concurrent use.
 type Observer interface {

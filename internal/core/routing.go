@@ -119,7 +119,7 @@ func (s *scheduler) futureAttraction(a, b int) []attraction {
 //
 //mussti:hotpath
 func (s *scheduler) attractionCost(z int, attract []attraction) float64 {
-	p := s.opts.Params
+	p := &s.opts.Params
 	cost := 0.0
 	for _, at := range attract {
 		if at.target == z {
@@ -160,7 +160,7 @@ func (s *scheduler) routeToOptical(q, partner int) error {
 //
 //mussti:hotpath
 func (s *scheduler) gatherCost(z, a, b int) float64 {
-	p := s.opts.Params
+	p := &s.opts.Params
 	cost := 0.0
 	need := 0
 	for _, q := range [2]int{a, b} {

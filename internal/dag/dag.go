@@ -96,17 +96,17 @@ func Build(c *circuit.Circuit) *Graph {
 	for i := range last {
 		last[i] = -1
 	}
-	for gi, gate := range c.Gates {
+	for gi := range c.Gates {
+		gate := &c.Gates[gi]
 		if !gate.Kind.IsTwoQubit() {
 			continue
 		}
 		id := len(g.Nodes)
-		n := Node{
-			ID: id, GateIndex: gi, Gate: gate,
+		g.Nodes = append(g.Nodes, Node{
+			ID: id, GateIndex: gi, Gate: *gate,
 			Succ: edgeBacking[4*id : 4*id : 4*id+2],
 			Pred: edgeBacking[4*id+2 : 4*id+2 : 4*id+4],
-		}
-		g.Nodes = append(g.Nodes, n)
+		})
 		for _, q := range gate.Operands() {
 			if p := last[q]; p >= 0 {
 				// Avoid duplicate edge when both operands match.
@@ -144,12 +144,13 @@ func (g *Graph) Reset() {
 	g.nextEpoch()
 	g.frontier = g.frontier[:0]
 	g.nLeft = len(g.Nodes)
-	for _, n := range g.Nodes {
-		g.executed[n.ID] = false
-		g.indegree[n.ID] = len(n.Pred)
-		if len(n.Pred) == 0 {
+	clear(g.executed)
+	for id := range g.Nodes {
+		preds := len(g.Nodes[id].Pred)
+		g.indegree[id] = preds
+		if preds == 0 {
 			// IDs ascend, so appends keep the frontier sorted.
-			g.frontier = append(g.frontier, n.ID)
+			g.frontier = append(g.frontier, id)
 		}
 	}
 }

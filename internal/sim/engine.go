@@ -20,6 +20,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"mussti/internal/physics"
 )
@@ -61,6 +62,10 @@ type Metrics struct {
 
 // Op is one timed entry of the optional execution trace.
 type Op struct {
+	// Kind is "chainswap", "split", "move" or "merge" for shuttle
+	// primitives, "gate1" (also measurements), "gate2", "fiber" for a
+	// program gate over the fiber link, or "swapfiber" for one of the three
+	// fiber MS gates of a compiler-inserted SWAP.
 	Kind    string
 	Qubits  []int
 	Zone    int // primary zone (destination for moves)
@@ -74,6 +79,16 @@ type Op struct {
 type Engine struct {
 	zones  []ZoneInfo
 	params physics.Params
+
+	// ln F of the ops whose fidelity depends only on params, precomputed by
+	// NewEngine with the same physics.Params expressions the ops would
+	// evaluate, so every op adds bit-identical factors with no math.Log:
+	// the chain swap, split and merge shuttle primitives, the intrinsic
+	// one-qubit and fiber gates, and the intrinsic two-qubit gate indexed
+	// by chain length (0 … the largest zone capacity).
+	swapLogF, splitLogF, mergeLogF float64
+	gate1LogF, fiberLogF           float64
+	gate2LogF                      []float64
 
 	chains  [][]int // per zone: ordered logical qubits (chain order)
 	loc     []int   // per qubit: zone ID, -1 when unplaced
@@ -90,16 +105,30 @@ type Engine struct {
 
 // NewEngine builds an engine over the given zones for n logical qubits.
 func NewEngine(zones []ZoneInfo, n int, p physics.Params) *Engine {
+	maxCap := 0
+	for _, z := range zones {
+		maxCap = max(maxCap, z.Capacity)
+	}
+	gate2 := make([]float64, maxCap+1)
+	for l := range gate2 {
+		gate2[l] = math.Log(p.Gate2Fidelity(l))
+	}
 	e := &Engine{
-		zones:   zones,
-		params:  p,
-		chains:  make([][]int, len(zones)),
-		loc:     make([]int, n),
-		idx:     make([]int, n),
-		heat:    make([]float64, len(zones)),
-		availZ:  make([]float64, len(zones)),
-		availQ:  make([]float64, n),
-		nQubits: n,
+		zones:     zones,
+		params:    p,
+		swapLogF:  p.ShuttleLogF(p.SwapTimeUS, p.SwapHeat),
+		splitLogF: p.ShuttleLogF(p.SplitTimeUS, p.SplitHeat),
+		mergeLogF: p.ShuttleLogF(p.MergeTimeUS, p.MergeHeat),
+		gate1LogF: p.Gate1LogF(0),
+		fiberLogF: p.FiberLogF(0, 0),
+		gate2LogF: gate2,
+		chains:    make([][]int, len(zones)),
+		loc:       make([]int, n),
+		idx:       make([]int, n),
+		heat:      make([]float64, len(zones)),
+		availZ:    make([]float64, len(zones)),
+		availQ:    make([]float64, n),
+		nQubits:   n,
 	}
 	for i := range e.loc {
 		e.loc[i] = -1
@@ -233,7 +262,7 @@ func (e *Engine) Move(q, dst int, distanceUM float64) error {
 	if len(e.chains[dst]) >= e.zones[dst].Capacity {
 		return fmt.Errorf("sim: move qubit %d to full zone %d (capacity %d)", q, dst, e.zones[dst].Capacity)
 	}
-	p := e.params
+	p := &e.params
 
 	idx := e.indexInChain(q)
 	l := len(e.chains[src])
@@ -247,7 +276,7 @@ func (e *Engine) Move(q, dst int, distanceUM float64) error {
 	// Chain swaps to reach the nearer edge.
 	for s := 0; s < swaps; s++ {
 		e.heat[src] += p.SwapHeat
-		e.metrics.Fidelity.MulLog(p.ShuttleLogF(p.SwapTimeUS, p.SwapHeat))
+		e.metrics.Fidelity.MulLog(e.swapLogF)
 		e.record("chainswap", q, -1, src, -1, t, p.SwapTimeUS)
 		t += p.SwapTimeUS
 	}
@@ -255,7 +284,7 @@ func (e *Engine) Move(q, dst int, distanceUM float64) error {
 
 	// Split from the source chain.
 	e.heat[src] += p.SplitHeat
-	e.metrics.Fidelity.MulLog(p.ShuttleLogF(p.SplitTimeUS, p.SplitHeat))
+	e.metrics.Fidelity.MulLog(e.splitLogF)
 	e.record("split", q, -1, src, -1, t, p.SplitTimeUS)
 	t += p.SplitTimeUS
 	srcFree := t // source zone is free once the ion has split off
@@ -269,7 +298,7 @@ func (e *Engine) Move(q, dst int, distanceUM float64) error {
 
 	// Merge into the destination chain.
 	e.heat[dst] += p.MergeHeat
-	e.metrics.Fidelity.MulLog(p.ShuttleLogF(p.MergeTimeUS, p.MergeHeat))
+	e.metrics.Fidelity.MulLog(e.mergeLogF)
 	e.record("merge", q, -1, dst, src, t, p.MergeTimeUS)
 	t += p.MergeTimeUS
 
@@ -300,9 +329,9 @@ func (e *Engine) Gate1(q int) error {
 	if z == -1 {
 		return fmt.Errorf("sim: 1q gate on unplaced qubit %d", q)
 	}
-	p := e.params
+	p := &e.params
 	start := maxf(e.availZ[z], e.availQ[q])
-	e.metrics.Fidelity.MulLog(p.Gate1LogF(p.BackgroundLogF(e.heat[z])))
+	e.metrics.Fidelity.MulLog(e.gate1LogF + p.BackgroundLogF(e.heat[z]))
 	e.record("gate1", q, -1, z, -1, start, p.Gate1TimeUS)
 	end := start + p.Gate1TimeUS
 	e.availZ[z] = end
@@ -339,10 +368,9 @@ func (e *Engine) Gate2(a, b int) error {
 	if !e.zones[za].GateCapable {
 		return fmt.Errorf("sim: 2q gate %d-%d in non-gate-capable zone %d", a, b, za)
 	}
-	p := e.params
+	p := &e.params
 	start := maxf(e.availZ[za], e.availQ[a], e.availQ[b])
-	n := len(e.chains[za])
-	e.metrics.Fidelity.MulLog(p.Gate2LogF(n, p.BackgroundLogF(e.heat[za])))
+	e.metrics.Fidelity.MulLog(e.gate2LogF[len(e.chains[za])] + p.BackgroundLogF(e.heat[za]))
 	e.record("gate2", a, b, za, -1, start, p.Gate2TimeUS)
 	end := start + p.Gate2TimeUS
 	e.availZ[za] = end
@@ -353,10 +381,18 @@ func (e *Engine) Gate2(a, b int) error {
 }
 
 // Fiber executes one fiber-entangled two-qubit gate between qubits sitting
-// in optical zones of two different modules.
+// in optical zones of two different modules, as a program gate: the trace
+// records it as "fiber".
 //
 //mussti:hotpath
-func (e *Engine) Fiber(a, b int) error {
+func (e *Engine) Fiber(a, b int) error { return e.fiber("fiber", a, b) }
+
+// fiber executes one fiber-entangled MS gate and records it under kind:
+// "fiber" for a program gate, "swapfiber" for one of an inserted SWAP's
+// three, so the trace says which is which.
+//
+//mussti:hotpath
+func (e *Engine) fiber(kind string, a, b int) error {
 	za, zb := e.loc[a], e.loc[b]
 	if za == -1 || zb == -1 {
 		return fmt.Errorf("sim: fiber gate on unplaced qubit (%d@%d, %d@%d)", a, za, b, zb)
@@ -371,10 +407,10 @@ func (e *Engine) Fiber(a, b int) error {
 	if ia.Module == ib.Module {
 		return fmt.Errorf("sim: fiber gate %d-%d within module %d", a, b, ia.Module)
 	}
-	p := e.params
+	p := &e.params
 	start := maxf(e.availZ[za], e.availZ[zb], e.availQ[a], e.availQ[b])
-	e.metrics.Fidelity.MulLog(p.FiberLogF(p.BackgroundLogF(e.heat[za]), p.BackgroundLogF(e.heat[zb])))
-	e.record("fiber", a, b, za, zb, start, p.FiberTimeUS)
+	e.metrics.Fidelity.MulLog(e.fiberLogF + p.BackgroundLogF(e.heat[za]) + p.BackgroundLogF(e.heat[zb]))
+	e.record(kind, a, b, za, zb, start, p.FiberTimeUS)
 	end := start + p.FiberTimeUS
 	e.availZ[za] = end
 	e.availZ[zb] = end
@@ -385,13 +421,15 @@ func (e *Engine) Fiber(a, b int) error {
 }
 
 // InsertedSwap realises a compiler-inserted logical SWAP between qubits on
-// different modules: three fiber-entangled MS gates (§3.3), after which the
-// logical qubits exchange physical positions in the engine's bookkeeping.
+// different modules: three fiber-entangled MS gates (§3.3), traced as
+// "swapfiber", after which the logical qubits exchange physical positions
+// in the engine's bookkeeping. They count towards Metrics.FiberGates like
+// program fiber gates.
 //
 //mussti:hotpath
 func (e *Engine) InsertedSwap(a, b int) error {
 	for i := 0; i < 3; i++ {
-		if err := e.Fiber(a, b); err != nil {
+		if err := e.fiber("swapfiber", a, b); err != nil {
 			return fmt.Errorf("sim: inserted swap %d-%d: %w", a, b, err)
 		}
 	}

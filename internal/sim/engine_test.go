@@ -361,3 +361,45 @@ func TestPropertyShuttleCountMatchesMoves(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPrecomputedLogFMatchParams pins the engine's per-op ln F constants
+// to the physics.Params methods they replace, bit for bit, for every model
+// switch and every chain length up to the largest zone capacity (170 ions
+// reaches Gate2Fidelity's floor).
+func TestPrecomputedLogFMatchParams(t *testing.T) {
+	shuttle, gates := physics.Default(), physics.Default()
+	shuttle.PerfectShuttle = true
+	gates.PerfectGates = true
+	zones := []ZoneInfo{{Capacity: 2}, {Capacity: 170}, {Capacity: 16}}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, m := range []struct {
+		name string
+		p    physics.Params
+	}{{"default", physics.Default()}, {"perfect shuttle", shuttle}, {"perfect gates", gates}} {
+		name, p := m.name, m.p
+		e := NewEngine(zones, 1, p)
+		for _, c := range []struct {
+			op        string
+			got, want float64
+		}{
+			{"chain swap", e.swapLogF, p.ShuttleLogF(p.SwapTimeUS, p.SwapHeat)},
+			{"split", e.splitLogF, p.ShuttleLogF(p.SplitTimeUS, p.SplitHeat)},
+			{"merge", e.mergeLogF, p.ShuttleLogF(p.MergeTimeUS, p.MergeHeat)},
+			{"gate1", e.gate1LogF + p.BackgroundLogF(3.7), p.Gate1LogF(p.BackgroundLogF(3.7))},
+			{"fiber", e.fiberLogF + p.BackgroundLogF(1.3) + p.BackgroundLogF(2.9), p.FiberLogF(p.BackgroundLogF(1.3), p.BackgroundLogF(2.9))},
+		} {
+			if !same(c.got, c.want) {
+				t.Errorf("%s %s: precomputed %v, Params gives %v", name, c.op, c.got, c.want)
+			}
+		}
+		if len(e.gate2LogF) != 171 {
+			t.Fatalf("%s: gate2 table has %d entries, want 171", name, len(e.gate2LogF))
+		}
+		for n := range e.gate2LogF {
+			bg := p.BackgroundLogF(float64(n) / 7)
+			if got, want := e.gate2LogF[n]+bg, p.Gate2LogF(n, bg); !same(got, want) {
+				t.Errorf("%s gate2 n=%d: precomputed %v, Params gives %v", name, n, got, want)
+			}
+		}
+	}
+}

@@ -55,7 +55,7 @@ func (e *Engine) BuildReport() Report {
 	busy := make([]float64, len(e.zones))
 	for _, op := range e.trace {
 		switch op.Kind {
-		case "fiber":
+		case "fiber", "swapfiber":
 			busy[op.Zone] += op.DurUS
 			if op.ZoneB >= 0 {
 				busy[op.ZoneB] += op.DurUS

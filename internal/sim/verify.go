@@ -16,9 +16,10 @@ import (
 //  2. Gate legality: two-qubit gates run in one gate-capable zone; fiber
 //     gates span optical zones of two different modules.
 //  3. Program order: for every qubit, the logical two-qubit gates execute
-//     in exactly the order the circuit prescribes (inserted SWAPs are
-//     transparent: they permute the logical↔physical binding, not the
-//     program).
+//     in exactly the order the circuit prescribes. Every "fiber" op is a
+//     program gate; "swapfiber" ops are the three MS gates of an inserted
+//     SWAP, which is transparent: it permutes the logical↔physical
+//     binding, not the program.
 //  4. Timing: operations touching a shared zone or qubit never overlap.
 //
 // initial maps each logical qubit to its starting zone.
@@ -56,8 +57,8 @@ type verifier struct {
 	perQubit [][]int
 	cursor   []int
 
-	// pendingSwap counts non-program fiber ops per unordered pair; at
-	// three, the pair's logical bindings exchange (an inserted SWAP).
+	// pendingSwap counts "swapfiber" ops per unordered pair; at three, the
+	// pair's logical bindings exchange (an inserted SWAP).
 	pendingSwap map[[2]int]int
 
 	// executed records consumed circuit gate indices in execution order.
@@ -174,7 +175,7 @@ func (v *verifier) step(i int, op Op) error {
 			return fmt.Errorf("verify: op %d: %w", i, err)
 		}
 		return v.reserveQubits(i, op)
-	case "fiber":
+	case "fiber", "swapfiber":
 		a, b := op.Qubits[0], op.Qubits[1]
 		za, zb := v.loc[a], v.loc[b]
 		if za != op.Zone || zb != op.ZoneB {
@@ -186,15 +187,14 @@ func (v *verifier) step(i int, op Op) error {
 		if v.zones[za].Module == v.zones[zb].Module {
 			return fmt.Errorf("verify: op %d fiber within module %d", i, v.zones[za].Module)
 		}
-		if v.isProgramGate(a, b) {
+		if op.Kind == "fiber" {
 			if err := v.consumeTwoQubit(a, b); err != nil {
 				return fmt.Errorf("verify: op %d: %w", i, err)
 			}
 			return v.reserveQubits(i, op)
 		}
-		// Not a program gate: must belong to an inserted SWAP — three
-		// fiber MS gates on the pair, after which the logical bindings
-		// exchange. Count them per pair.
+		// One of an inserted SWAP's three fiber MS gates on the pair,
+		// after which the logical bindings exchange. Count them per pair.
 		key := pairKey(a, b)
 		v.pendingSwap[key]++
 		if v.pendingSwap[key] == 3 {
@@ -213,18 +213,6 @@ func (v *verifier) nextGate(q int) (int, error) {
 		return 0, fmt.Errorf("qubit %d has no remaining program gates", q)
 	}
 	return v.perQubit[q][v.cursor[q]], nil
-}
-
-// isProgramGate reports whether the next program gate of both qubits is the
-// same two-qubit gate on exactly this pair.
-func (v *verifier) isProgramGate(a, b int) bool {
-	ga, errA := v.nextGate(a)
-	gb, errB := v.nextGate(b)
-	if errA != nil || errB != nil || ga != gb {
-		return false
-	}
-	g := v.c.Gates[ga]
-	return g.Kind.IsTwoQubit() && g.Touches(a) && g.Touches(b)
 }
 
 func (v *verifier) consumeTwoQubit(a, b int) error {

@@ -148,14 +148,47 @@ func TestVerifyRejectsDanglingFiber(t *testing.T) {
 	if err := e.Fiber(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	// One lone fiber op: neither a program gate nor a complete SWAP; the
-	// binding never exchanges, so cursors check out, but wait — there is
-	// no program gate to consume either, so the single fiber op counts as
-	// pending SWAP 1 of 3 and verification must flag nothing... except the
-	// engine executed a gate the program does not contain, which shows up
-	// as no error only if we don't require pendingSwap empty. Require it.
-	err := VerifySchedule(c, zones, initial, e.Trace())
-	if err == nil {
-		t.Error("dangling fiber op accepted")
+	// A lone program fiber gate the circuit does not contain.
+	if err := VerifySchedule(c, zones, initial, e.Trace()); err == nil {
+		t.Error("fiber op without a program gate accepted")
+	}
+	// A lone SWAP part: one of three, so the binding never exchanges.
+	trace := e.Trace()
+	trace[0].Kind = "swapfiber"
+	if err := VerifySchedule(c, zones, initial, trace); err == nil {
+		t.Error("dangling swapfiber op accepted")
+	}
+}
+
+// TestVerifyReadsSwapPartsFromTheTrace covers an inserted SWAP between two
+// qubits whose next program gate is with each other: the schedule SWAPs
+// them and then runs their gate over the fiber anyway. Which of the four
+// fiber ops is the program gate is visible only from the op kinds, so a
+// SWAP part relabelled "fiber" must be rejected.
+func TestVerifyReadsSwapPartsFromTheTrace(t *testing.T) {
+	c := circuit.New("f", 2)
+	c.MS(0, 1)
+	zones := twoModuleZones(4)
+	e := NewEngine(zones, 2, physics.Default())
+	e.EnableTrace()
+	initial := []int{2, 5}
+	for q, z := range initial {
+		if err := e.Place(q, z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := e.InsertedSwap(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Fiber(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	trace := e.Trace()
+	if err := VerifySchedule(c, zones, initial, trace); err != nil {
+		t.Fatalf("SWAP then program fiber gate rejected: %v", err)
+	}
+	trace[0].Kind = "fiber"
+	if err := VerifySchedule(c, zones, initial, trace); err == nil {
+		t.Error("SWAP part mislabelled as a program fiber gate accepted")
 	}
 }
