@@ -1,6 +1,8 @@
 // Command benchjson measures the compilation hot paths with
-// testing.Benchmark and writes the results as JSON — the per-PR performance
-// trajectory record committed as BENCH_compile.json at the repo root:
+// testing.Benchmark, five runs per entry, and writes each entry's median
+// ns/op with the fastest and slowest run beside it as JSON — the per-PR
+// performance trajectory record committed as BENCH_compile.json at the repo
+// root:
 //
 //	go run ./cmd/benchjson                  # rewrites BENCH_compile.json
 //	go run ./cmd/benchjson -o -             # print to stdout
@@ -18,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"testing"
 
 	"mussti"
@@ -30,10 +33,16 @@ import (
 type entry struct {
 	// Name identifies the benchmarked unit, e.g. "compile/SQRT_n299".
 	Name string `json:"name"`
-	// Iterations is the b.N testing.Benchmark settled on.
+	// Runs is how many testing.Benchmark calls measured the entry.
+	Runs int `json:"runs"`
+	// Iterations is the b.N of the median run.
 	Iterations int `json:"iterations"`
-	// NsPerOp, BytesPerOp and AllocsPerOp are the usual -benchmem triple.
+	// NsPerOp is the median run's ns/op; MinNsPerOp and MaxNsPerOp are the
+	// fastest and slowest runs', so a reader sees the spread of the machine
+	// the entry ran on. BytesPerOp and AllocsPerOp come from the median run.
 	NsPerOp     float64 `json:"ns_per_op"`
+	MinNsPerOp  float64 `json:"min_ns_per_op"`
+	MaxNsPerOp  float64 `json:"max_ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	// NumCPU and GOMAXPROCS pin the parallelism this entry ran under, so
@@ -51,51 +60,52 @@ type report struct {
 	Benchmarks []entry `json:"benchmarks"`
 }
 
+// runs is how many times measure repeats each entry. One testing.Benchmark
+// call carries the load of the minute it ran in; the median of five does
+// not move with one noisy run.
+const runs = 5
+
 func measure(name string, fn func(b *testing.B)) entry {
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		fn(b)
-	})
+	res := make([]testing.BenchmarkResult, runs)
+	for i := range res {
+		res[i] = testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			fn(b)
+		})
+	}
+	nsPerOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
+	sort.Slice(res, func(i, j int) bool { return nsPerOp(res[i]) < nsPerOp(res[j]) })
+	med := res[runs/2]
 	return entry{
 		Name:        name,
-		Iterations:  res.N,
-		NsPerOp:     float64(res.T.Nanoseconds()) / float64(res.N),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
+		Runs:        runs,
+		Iterations:  med.N,
+		NsPerOp:     nsPerOp(med),
+		MinNsPerOp:  nsPerOp(res[0]),
+		MaxNsPerOp:  nsPerOp(res[runs-1]),
+		BytesPerOp:  med.AllocedBytesPerOp(),
+		AllocsPerOp: med.AllocsPerOp(),
 		NumCPU:      runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 }
 
 // compileBench compiles the named application on its default-sized EML
-// device with the paper's headline options — the unit of work behind every
-// table cell and the Fig. 10 compile-time curves.
-func compileBench(app string) func(b *testing.B) {
+// device through the registry's "mussti" compiler — the unit of work behind
+// every table cell and the Fig. 10 compile-time curves. A nil cfg is the
+// paper's headline configuration.
+func compileBench(app string, cfg *mussti.CompileConfig) func(b *testing.B) {
 	return func(b *testing.B) {
 		c := bench.MustByName(app)
 		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, mussti.DefaultOptions()); err != nil {
-				b.Fatal(err)
-			}
+		comp, err := mussti.LookupCompiler("mussti")
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-}
-
-// compileTrivialBench is compileBench with the trivial initial mapping: one
-// scheduling pass instead of SABRE's four. The gap between this entry and
-// compile/<app> is the mapping search's cost — the overhead the shared
-// per-circuit prep (DAG + scheduler reuse across probe passes) trims.
-func compileTrivialBench(app string) func(b *testing.B) {
-	return func(b *testing.B) {
-		c := bench.MustByName(app)
-		dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-		opts := mussti.DefaultOptions()
-		opts.Mapping = mussti.MappingTrivial
+		ctx := context.Background()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := mussti.Compile(c, dev, opts); err != nil {
+			if _, err := comp.Compile(ctx, c, dev, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -150,7 +160,7 @@ func distBench(pipeline int) func(b *testing.B) {
 		defer coord.Close()
 		spec := mussti.CompileSpec{App: "GHZ_n32", Compiler: "mussti",
 			Config: mussti.NewCompileConfig(mussti.WithMapping(mussti.MappingTrivial))}
-		job := mussti.EvalJob{Spec: &spec}
+		job := mussti.EvalJob{Spec: spec}
 		ctx := context.Background()
 		// Absorb process start and first-compile warmup outside the timer.
 		if _, err := coord.RunJob(ctx, job); err != nil {
@@ -189,9 +199,12 @@ func main() {
 	big := bench.MustByName("SQRT_n299")
 	r := report{Tool: "benchjson", Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0)}
 	r.Benchmarks = []entry{
-		measure("compile/QFT_n32", compileBench("QFT_n32")),
-		measure("compile/QFT_n32-trivialmap", compileTrivialBench("QFT_n32")),
-		measure("compile/SQRT_n299", compileBench("SQRT_n299")),
+		measure("compile/QFT_n32", compileBench("QFT_n32", nil)),
+		// The trivial initial mapping makes one scheduling pass instead of
+		// SABRE's three; the gap to compile/QFT_n32 is the mapping search's
+		// cost.
+		measure("compile/QFT_n32-trivialmap", compileBench("QFT_n32", mussti.NewCompileConfig(mussti.WithMapping(mussti.MappingTrivial)))),
+		measure("compile/SQRT_n299", compileBench("SQRT_n299", nil)),
 		measure("compilebatch/QFT_n32x8", compileBatchBench("QFT_n32", 8)),
 		measure("dist/roundtrip", distBench(1)),
 		measure("dist/pipelined", distBench(4)),

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -67,7 +68,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opts := mussti.DefaultOptions()
+	opts := mussti.NewCompileConfig()
 	switch strings.ToLower(*mapping) {
 	case "trivial":
 		opts.Mapping = mussti.MappingTrivial
@@ -82,7 +83,12 @@ func main() {
 	opts.SwapThreshold = *threshold
 	opts.Trace = *trace || *report || *scheduleOut != "" || *verify
 
-	res, err := mussti.Compile(c, dev, opts)
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "musstic:", err)
+		os.Exit(1)
+	}
+	res, err := comp.Compile(context.Background(), c, dev, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "musstic:", err)
 		os.Exit(1)

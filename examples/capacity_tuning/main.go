@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -41,7 +42,11 @@ func main() {
 }
 
 func compile(c *mussti.Circuit, cfg mussti.DeviceConfig) mussti.Metrics {
-	res, err := mussti.Compile(c, mussti.NewDevice(cfg), mussti.DefaultOptions())
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := comp.Compile(context.Background(), c, mussti.NewDevice(cfg), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

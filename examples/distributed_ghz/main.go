@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -20,9 +21,11 @@ func main() {
 	fmt.Printf("device: %d modules × (2 storage + 1 operation + 1 optical), trap capacity %d\n\n",
 		cfg.Modules, cfg.TrapCapacity)
 
-	opts := mussti.DefaultOptions()
-	opts.Trace = true
-	res, err := mussti.Compile(c, dev, opts)
+	comp, err := mussti.LookupCompiler("mussti")
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, err := comp.Compile(context.Background(), c, dev, mussti.NewCompileConfig(mussti.WithTrace()))
 	if err != nil {
 		log.Fatal(err)
 	}

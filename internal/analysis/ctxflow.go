@@ -16,9 +16,8 @@ import (
 //     propagating right there.
 //   - a call to context.Background() or context.TODO() inside a function
 //     that already has a context parameter: downstream work detaches from
-//     the caller's cancellation mid-chain. Root-of-chain uses (main, the
-//     deprecated no-context wrappers) have no context parameter and are
-//     not flagged.
+//     the caller's cancellation mid-chain. Root-of-chain uses (main,
+//     tests, benchmarks) have no context parameter and are not flagged.
 var CtxflowAnalyzer = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "flags dropped context parameters and mid-chain context.Background()/TODO() calls",

@@ -77,75 +77,19 @@ func (a Algorithm) RegistryName() string {
 	return ""
 }
 
-// Result is the outcome of a baseline compilation. The baselines report
-// through the same type as MUSS-TI (metrics, compile time and trace; the
-// scheduler-stats and mapping fields stay zero), so harnesses handle one
-// result shape for every compiler.
-type Result = core.Result
-
-// Options configures a baseline run.
-//
-// Deprecated: Options predates the unified core.CompileConfig; its fields
-// are the subset of CompileConfig the baselines read. New code should build
-// a CompileConfig and go through the compiler registry.
-type Options struct {
-	// Params is the physics model; zero value means physics.Default().
-	Params physics.Params
-	// LookAhead is the Dai look-ahead window in DAG layers (default 4).
-	LookAhead int
-	// Trace enables op recording.
-	Trace bool
-	// Observer, when non-nil, receives the same per-step progress
-	// callbacks as the MUSS-TI compiler (gates scheduled, per-hop
-	// shuttles, evictions). It never changes the schedule.
-	Observer core.Observer
-}
-
-// Config lifts the legacy Options into the unified CompileConfig.
-func (o Options) Config() core.CompileConfig {
-	return core.CompileConfig{
-		Params:    o.Params,
-		LookAhead: o.LookAhead,
-		Trace:     o.Trace,
-		Observer:  o.Observer,
+// compile schedules circuit c onto grid g with the chosen baseline, reading
+// the CompileConfig fields the baselines understand (Params, LookAhead,
+// Trace, Observer) and defaulting the zero ones: Table-1 physics and the Dai
+// look-ahead k=4. The routing loop checks ctx at every frontier step, so a
+// cancelled or expired context aborts the compile within one scheduler step
+// and surfaces ctx.Err().
+func compile(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *arch.Grid, cfg core.CompileConfig) (*core.Result, error) {
+	if cfg.Params == (physics.Params{}) {
+		cfg.Params = physics.Default()
 	}
-}
-
-// fromConfig projects the unified CompileConfig onto the fields the
-// baselines read; the MUSS-TI-specific knobs are ignored by design.
-func fromConfig(cfg *core.CompileConfig) Options {
-	if cfg == nil {
-		return Options{}
+	if cfg.LookAhead <= 0 {
+		cfg.LookAhead = 4
 	}
-	return Options{
-		Params:    cfg.Params,
-		LookAhead: cfg.LookAhead,
-		Trace:     cfg.Trace,
-		Observer:  cfg.Observer,
-	}
-}
-
-func (o Options) withDefaults() Options {
-	if o.Params == (physics.Params{}) {
-		o.Params = physics.Default()
-	}
-	if o.LookAhead <= 0 {
-		o.LookAhead = 4
-	}
-	return o
-}
-
-// Compile schedules circuit c onto grid g with the chosen baseline. It is
-// CompileContext with a background context.
-func Compile(algo Algorithm, c *circuit.Circuit, g *arch.Grid, opts Options) (*Result, error) {
-	return CompileContext(context.Background(), algo, c, g, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: the routing loop
-// checks ctx at every frontier step, so a cancelled or expired context
-// aborts the compile within one scheduler step and surfaces ctx.Err().
-func CompileContext(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *arch.Grid, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
 	if c.NumQubits > g.TotalCapacity() {
 		return nil, fmt.Errorf("baseline: circuit %q needs %d qubits, grid holds %d",
 			c.Name, c.NumQubits, g.TotalCapacity())
@@ -156,12 +100,12 @@ func CompileContext(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *
 		algo: algo,
 		c:    c,
 		grid: g,
-		opts: opts,
-		eng:  sim.NewGridEngine(g, c.NumQubits, opts.Params),
+		cfg:  cfg,
+		eng:  sim.NewGridEngine(g, c.NumQubits, cfg.Params),
 		g:    dag.Build(c),
-		obs:  core.ObserverOrNop(opts.Observer),
+		obs:  core.ObserverOrNop(cfg.Observer),
 	}
-	if opts.Trace {
+	if cfg.Trace {
 		r.eng.EnableTrace()
 	}
 	if err := r.init(); err != nil {
@@ -171,7 +115,7 @@ func CompileContext(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *
 		return nil, err
 	}
 	//mussti:allow=determinism CompileTime is reporting metadata, never schedule input
-	return &Result{Metrics: r.eng.Metrics(), CompileTime: time.Since(start), InitialMapping: r.home, Trace: r.eng.Trace()}, nil
+	return &core.Result{Metrics: r.eng.Metrics(), CompileTime: time.Since(start), InitialMapping: r.home, Trace: r.eng.Trace()}, nil
 }
 
 // gridRouter is shared scheduling state for all three baselines.
@@ -180,7 +124,7 @@ type gridRouter struct {
 	algo Algorithm
 	c    *circuit.Circuit
 	grid *arch.Grid
-	opts Options
+	cfg  core.CompileConfig
 	eng  *sim.Engine
 	g    *dag.Graph
 	obs  core.Observer

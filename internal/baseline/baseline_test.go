@@ -1,12 +1,24 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit"
 	"mussti/internal/circuit/bench"
+	"mussti/internal/core"
 )
+
+// registryCompile compiles through the registry entry of algo, the path
+// every caller outside this package takes.
+func registryCompile(ctx context.Context, algo Algorithm, c *circuit.Circuit, g *arch.Grid, cfg core.CompileConfig) (*core.Result, error) {
+	comp, err := core.LookupCompiler(algo.RegistryName())
+	if err != nil {
+		return nil, err
+	}
+	return comp.Compile(ctx, c, g, &cfg)
+}
 
 func grid22() *arch.Grid { return arch.MustNewGrid(2, 2, 12) }
 
@@ -22,7 +34,7 @@ func TestAlgorithmString(t *testing.T) {
 func TestCompileRejectsOversized(t *testing.T) {
 	c := bench.MustByName("GHZ_n256")
 	g := arch.MustNewGrid(2, 2, 8) // 32 slots
-	if _, err := Compile(Murali, c, g, Options{}); err == nil {
+	if _, err := registryCompile(context.Background(), Murali, c, g, core.CompileConfig{}); err == nil {
 		t.Error("oversized circuit accepted")
 	}
 }
@@ -33,7 +45,7 @@ func TestAllBaselinesCompleteSmallSuite(t *testing.T) {
 		c := bench.MustByName(name)
 		st := c.Stats()
 		for _, algo := range []Algorithm{Murali, Dai, MQT} {
-			res, err := Compile(algo, c, g, Options{})
+			res, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, algo, err)
 			}
@@ -58,11 +70,11 @@ func TestMQTShuttlesDominate(t *testing.T) {
 	g := grid22()
 	for _, name := range []string{"Adder_n32", "QFT_n32", "SQRT_n30"} {
 		c := bench.MustByName(name)
-		mur, err := Compile(Murali, c, g, Options{})
+		mur, err := registryCompile(context.Background(), Murali, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		mqt, err := Compile(MQT, c, g, Options{})
+		mqt, err := registryCompile(context.Background(), MQT, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,11 +88,11 @@ func TestDaiBeatsOrMatchesMurali(t *testing.T) {
 	g := grid22()
 	for _, name := range bench.SmallSuite() {
 		c := bench.MustByName(name)
-		mur, err := Compile(Murali, c, g, Options{})
+		mur, err := registryCompile(context.Background(), Murali, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		dai, err := Compile(Dai, c, g, Options{})
+		dai, err := registryCompile(context.Background(), Dai, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,11 +106,11 @@ func TestBaselineDeterministic(t *testing.T) {
 	g := grid22()
 	c := bench.MustByName("QFT_n32")
 	for _, algo := range []Algorithm{Murali, Dai, MQT} {
-		a, err := Compile(algo, c, g, Options{})
+		a, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compile(algo, c, g, Options{})
+		b, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +126,7 @@ func TestColocationSkipsShuttling(t *testing.T) {
 	c.MS(0, 1)
 	g := grid22()
 	for _, algo := range []Algorithm{Murali, Dai} {
-		res, err := Compile(algo, c, g, Options{})
+		res, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,7 +135,7 @@ func TestColocationSkipsShuttling(t *testing.T) {
 		}
 	}
 	// MQT still hauls both to the processing zone and back.
-	res, err := Compile(MQT, c, g, Options{})
+	res, err := registryCompile(context.Background(), MQT, c, g, core.CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +148,7 @@ func TestMQTProcessingZoneDiscipline(t *testing.T) {
 	c := circuit.New("p", 4)
 	c.MS(0, 3)
 	g := arch.MustNewGrid(2, 2, 4)
-	res, err := Compile(MQT, c, g, Options{Trace: true})
+	res, err := registryCompile(context.Background(), MQT, c, g, core.CompileConfig{Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +166,11 @@ func TestMQTProcessingZoneDiscipline(t *testing.T) {
 func TestDaiLookAheadOption(t *testing.T) {
 	g := arch.MustNewGrid(3, 4, 16)
 	c := bench.MustByName("Adder_n128")
-	deep, err := Compile(Dai, c, g, Options{LookAhead: 8})
+	deep, err := registryCompile(context.Background(), Dai, c, g, core.CompileConfig{LookAhead: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	shallow, err := Compile(Dai, c, g, Options{LookAhead: 1})
+	shallow, err := registryCompile(context.Background(), Dai, c, g, core.CompileConfig{LookAhead: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +187,7 @@ func TestLargeGridRun(t *testing.T) {
 	g := arch.MustNewGrid(4, 5, 16)
 	c := bench.MustByName("GHZ_n256")
 	for _, algo := range []Algorithm{Murali, Dai} {
-		if _, err := Compile(algo, c, g, Options{}); err != nil {
+		if _, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{}); err != nil {
 			t.Fatalf("%s: %v", algo, err)
 		}
 	}

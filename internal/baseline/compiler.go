@@ -38,7 +38,10 @@ func (b compiler) Compile(ctx context.Context, c *circuit.Circuit, t arch.Target
 	if !ok {
 		return nil, fmt.Errorf("baseline: %s targets the monolithic QCCD grid, not %T", b.algo, t)
 	}
-	return CompileContext(ctx, b.algo, c, g, fromConfig(cfg))
+	if cfg == nil {
+		return compile(ctx, b.algo, c, g, core.CompileConfig{})
+	}
+	return compile(ctx, b.algo, c, g, *cfg)
 }
 
 func init() {

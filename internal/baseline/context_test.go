@@ -8,6 +8,7 @@ import (
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit/bench"
+	"mussti/internal/core"
 )
 
 // TestCompileContextPreCancelled: a cancelled context aborts a baseline
@@ -19,7 +20,7 @@ func TestCompileContextPreCancelled(t *testing.T) {
 	cancel()
 	start := time.Now()
 	for _, algo := range []Algorithm{Murali, Dai, MQT} {
-		if _, err := CompileContext(ctx, algo, c, g, Options{}); !errors.Is(err, context.Canceled) {
+		if _, err := registryCompile(ctx, algo, c, g, core.CompileConfig{}); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", algo, err)
 		}
 	}
@@ -46,7 +47,7 @@ func TestObserverSeesBaselineEvents(t *testing.T) {
 	c := bench.MustByName("QAOA_n32")
 	g := arch.MustNewGrid(2, 2, 12)
 	obs := &countingObserver{}
-	res, err := Compile(Murali, c, g, Options{Observer: obs})
+	res, err := registryCompile(context.Background(), Murali, c, g, core.CompileConfig{Observer: obs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +66,11 @@ func TestObserverSeesBaselineEvents(t *testing.T) {
 func TestObserverDoesNotChangeBaselineSchedule(t *testing.T) {
 	c := bench.MustByName("QAOA_n32")
 	g := arch.MustNewGrid(2, 2, 12)
-	bare, err := Compile(Dai, c, g, Options{})
+	bare, err := registryCompile(context.Background(), Dai, c, g, core.CompileConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	observed, err := Compile(Dai, c, g, Options{Observer: &countingObserver{}})
+	observed, err := registryCompile(context.Background(), Dai, c, g, core.CompileConfig{Observer: &countingObserver{}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,7 +175,7 @@ func (r *gridRouter) bestMeetingTrap(a, b int) int {
 func (r *gridRouter) futurePartnerTraps(a, b int) []int {
 	traps := r.trapScratch[:0]
 	for _, q := range [2]int{a, b} {
-		r.g.AheadOn(q, r.opts.LookAhead, func(_ int, n *dag.Node) {
+		r.g.AheadOn(q, r.cfg.LookAhead, func(_ int, n *dag.Node) {
 			traps = append(traps, r.eng.ZoneOf(n.Gate.Other(q)))
 		})
 	}

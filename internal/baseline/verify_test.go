@@ -1,10 +1,12 @@
 package baseline
 
 import (
+	"context"
 	"testing"
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit/bench"
+	"mussti/internal/core"
 	"mussti/internal/sim"
 )
 
@@ -19,7 +21,7 @@ func TestBaselineSchedulesVerify(t *testing.T) {
 	for _, algo := range []Algorithm{Murali, Dai, MQT} {
 		for _, app := range apps {
 			c := bench.MustByName(app)
-			res, err := Compile(algo, c, g, Options{Trace: true})
+			res, err := registryCompile(context.Background(), algo, c, g, core.CompileConfig{Trace: true})
 			if err != nil {
 				t.Fatalf("%v/%s: %v", algo, app, err)
 			}

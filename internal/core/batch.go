@@ -10,7 +10,7 @@ import (
 )
 
 // BatchVariant is one (target, config) pair of a CompileBatch. A nil Config
-// means the paper's headline configuration (DefaultOptions), matching the
+// means the paper's headline configuration (NewCompileConfig), matching the
 // Compiler interface's nil-config contract.
 type BatchVariant struct {
 	Target arch.Target
@@ -32,15 +32,15 @@ type BatchCompiler interface {
 // building the per-circuit preparation — dependency DAG, per-qubit gate
 // lists, next-use tables — once and replaying it for each variant via
 // Graph.Reset, exactly like back-to-back Compile calls. Variants compile one
-// after another on the calling goroutine, each with CompileContext's pass
-// order (for MappingSABRE: trivial production pass, reverse probe, SABRE
+// after another on the calling goroutine, each with the registry compiler's
+// pass order (for MappingSABRE: trivial production pass, reverse probe, SABRE
 // production pass), so a variant's Observer sees its trivial pass and then
 // its SABRE pass before the next variant starts. Callers wanting
 // concurrency run several batches (eval's Runner gives each batch unit one
 // pool slot).
 //
-// results[i] corresponds to variants[i] and is byte-identical to what
-// Compile(c, variants[i]...) returns (modulo the wall-clock CompileTime,
+// results[i] corresponds to variants[i] and is byte-identical to a
+// standalone Compile of variants[i] (modulo the wall-clock CompileTime,
 // which covers the variant's scheduling only — the shared prep build is
 // attributed to no one). Every variant is validated before any scheduling
 // starts, so a bad variant fails fast with its index; otherwise the first
@@ -50,13 +50,13 @@ func CompileBatch(ctx context.Context, c *circuit.Circuit, variants []BatchVaria
 		return nil, nil
 	}
 	devs := make([]*arch.Device, len(variants))
-	cfgs := make([]Options, len(variants))
+	cfgs := make([]CompileConfig, len(variants))
 	for i, v := range variants {
 		d, err := deviceFor(v.Target)
 		if err != nil {
 			return nil, fmt.Errorf("core: batch variant %d: %w", i, err)
 		}
-		opts := DefaultOptions()
+		opts := musstiCompiler{}.DefaultConfig()
 		if v.Config != nil {
 			opts = *v.Config
 		}

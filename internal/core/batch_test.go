@@ -25,7 +25,7 @@ func stripTime(res *Result) Result {
 }
 
 // TestCompileBatchMatchesIndividual: every batch member must be
-// byte-identical to a standalone CompileContext of the same variant,
+// byte-identical to a standalone registry Compile of the same variant,
 // including traced and grid-targeted variants.
 func TestCompileBatchMatchesIndividual(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
@@ -44,7 +44,7 @@ func TestCompileBatchMatchesIndividual(t *testing.T) {
 	}
 	want := make([]Result, len(variants))
 	for i, v := range variants {
-		opts := DefaultOptions()
+		opts := *NewCompileConfig()
 		if v.Config != nil {
 			opts = *v.Config
 		}
@@ -52,7 +52,7 @@ func TestCompileBatchMatchesIndividual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := CompileContext(context.Background(), c, dev, opts)
+		res, err := registryCompile(context.Background(), c, dev, opts)
 		if err != nil {
 			t.Fatalf("variant %d: %v", i, err)
 		}
@@ -98,7 +98,7 @@ func TestCompileBatchValidation(t *testing.T) {
 func TestReversePrepConcurrent(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	ref, err := Compile(c, d, DefaultOptions())
+	ref, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestReversePrepConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 3; iter++ {
-				res, err := CompileContext(context.Background(), c, d, DefaultOptions())
+				res, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 				if err != nil {
 					errCh <- err
 					return
@@ -154,7 +154,7 @@ func TestCompileBatchMidCompileCancel(t *testing.T) {
 	defer cancel()
 	variants := make([]BatchVariant, 4)
 	for i := range variants {
-		cfg := DefaultOptions()
+		cfg := *NewCompileConfig()
 		if i == 0 {
 			cfg.Observer = &cancelAfterGates{n: 100, cancel: cancel}
 		}

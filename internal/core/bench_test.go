@@ -15,7 +15,7 @@ import (
 func BenchmarkSchedulerRun(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -39,7 +39,7 @@ func BenchmarkSchedulerRun(b *testing.B) {
 func BenchmarkSchedulerStep(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -70,7 +70,7 @@ func BenchmarkSchedulerStep(b *testing.B) {
 func BenchmarkSchedulerPassFresh(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -89,12 +89,12 @@ func BenchmarkSchedulerPassFresh(b *testing.B) {
 }
 
 // BenchmarkSchedulerPassReuse replays one shared prep across passes via
-// Graph.Reset — what CompileContext now does for the SABRE forward probe
+// Graph.Reset — what a compile now does for the SABRE forward probe
 // and both candidate production runs.
 func BenchmarkSchedulerPassReuse(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := Options{Mapping: MappingTrivial}.withDefaults()
+	opts := CompileConfig{Mapping: MappingTrivial}.withDefaults()
 	initial, err := trivialMapping(c.NumQubits, d)
 	if err != nil {
 		b.Fatal(err)
@@ -119,11 +119,11 @@ func BenchmarkSchedulerPassReuse(b *testing.B) {
 func BenchmarkCompileSABRE(b *testing.B) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := CompileContext(context.Background(), c, d, opts); err != nil {
+		if _, err := registryCompile(context.Background(), c, d, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit"
+	"mussti/internal/physics"
 )
 
 // Compiler is a nameable compilation strategy: anything that can schedule a
@@ -157,17 +158,26 @@ func CompilerNames() []string {
 	return out
 }
 
-// musstiCompiler adapts CompileContext to the Compiler interface. It accepts
-// both machine shapes: an EML-QCCD *Device directly, and a *Grid through the
-// zone/module adapter (Table 2 applies MUSS-TI "on these standard QCCD
-// structures").
+// musstiCompiler is the registry's "mussti" entry. It accepts both machine
+// shapes: an EML-QCCD *Device directly, and a *Grid through the zone/module
+// adapter (Table 2 applies MUSS-TI "on these standard QCCD structures").
 type musstiCompiler struct{}
 
 func (musstiCompiler) Name() string        { return "mussti" }
 func (musstiCompiler) DisplayName() string { return "MUSS-TI" }
 
-// DefaultConfig is the paper's headline configuration (DefaultOptions).
-func (musstiCompiler) DefaultConfig() CompileConfig { return DefaultOptions() }
+// DefaultConfig is the paper's headline configuration: SABRE mapping +
+// SWAP insertion, k=8, T=4, Table-1 physics. It is the one place those
+// defaults are spelled; NewCompileConfig starts from it.
+func (musstiCompiler) DefaultConfig() CompileConfig {
+	return CompileConfig{
+		Mapping:       MappingSABRE,
+		SwapInsertion: true,
+		LookAhead:     8,
+		SwapThreshold: 4,
+		Params:        physics.Default(),
+	}
+}
 
 // SupportsTarget: both machine shapes of the paper.
 func (musstiCompiler) SupportsTarget(t arch.Target) bool {
@@ -178,16 +188,29 @@ func (musstiCompiler) SupportsTarget(t arch.Target) bool {
 	return false
 }
 
-func (musstiCompiler) Compile(ctx context.Context, c *circuit.Circuit, t arch.Target, cfg *CompileConfig) (*Result, error) {
+// Compile schedules c with cooperative cancellation: the scheduling loops
+// (including the SABRE reverse probe) check ctx at every frontier step, so a
+// cancelled or expired context aborts a long compile within one scheduler
+// step and surfaces ctx.Err().
+//
+// A compile runs entirely on the calling goroutine, one pass after another
+// over one prep. MappingTrivial makes one production pass from the trivial
+// mapping. MappingSABRE makes three: the trivial production pass (which
+// doubles as the §3.4 forward probe), the reverse probe, and the SABRE
+// production pass. The Observer sees the two production passes, trivial
+// first, each as a complete pass; the reverse probe reports nothing.
+// Concurrency is the caller's business (eval's Runner holds one pool slot
+// per compile).
+func (m musstiCompiler) Compile(ctx context.Context, c *circuit.Circuit, t arch.Target, cfg *CompileConfig) (*Result, error) {
 	d, err := deviceFor(t)
 	if err != nil {
 		return nil, err
 	}
-	opts := DefaultOptions()
+	opts := m.DefaultConfig()
 	if cfg != nil {
 		opts = *cfg
 	}
-	return CompileContext(ctx, c, d, opts)
+	return compile(ctx, c, d, opts)
 }
 
 func init() {

@@ -9,6 +9,7 @@ import (
 
 	"mussti/internal/arch"
 	"mussti/internal/circuit"
+	"mussti/internal/physics"
 )
 
 // fakeCompiler is a minimal Compiler for registry tests.
@@ -30,8 +31,8 @@ func TestRegistryHasMussti(t *testing.T) {
 	if CompilerLabel(c) != "MUSS-TI" {
 		t.Errorf("label = %q, want MUSS-TI", CompilerLabel(c))
 	}
-	if cfg := DefaultConfigFor(c); cfg != DefaultOptions() {
-		t.Errorf("DefaultConfigFor(mussti) = %+v, want DefaultOptions", cfg)
+	if cfg := DefaultConfigFor(c); cfg != *NewCompileConfig() {
+		t.Errorf("DefaultConfigFor(mussti) = %+v, want NewCompileConfig()", cfg)
 	}
 	// This package registers "mussti" first; registration order is the
 	// deterministic order Compilers() reports.
@@ -117,7 +118,7 @@ func TestCompilersConcurrent(t *testing.T) {
 }
 
 // TestMusstiCompilerTargets: the registry "mussti" accepts both machine
-// shapes and rejects anything else, matching the deprecated entry points.
+// shapes, gives a nil config the paper defaults, and rejects anything else.
 func TestMusstiCompilerTargets(t *testing.T) {
 	comp, err := LookupCompiler("mussti")
 	if err != nil {
@@ -135,12 +136,12 @@ func TestMusstiCompilerTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaLegacy, err := Compile(c, dev, DefaultOptions())
+	viaDefaults, err := comp.Compile(ctx, c, dev, NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaIface.Metrics != viaLegacy.Metrics {
-		t.Errorf("interface and legacy metrics differ:\n%+v\n%+v", viaIface.Metrics, viaLegacy.Metrics)
+	if viaIface.Metrics != viaDefaults.Metrics {
+		t.Errorf("nil config and NewCompileConfig() metrics differ:\n%+v\n%+v", viaIface.Metrics, viaDefaults.Metrics)
 	}
 
 	g := arch.MustNewGrid(2, 2, 4)
@@ -154,8 +155,9 @@ func TestMusstiCompilerTargets(t *testing.T) {
 
 func TestNewCompileConfig(t *testing.T) {
 	cfg := NewCompileConfig()
-	if *cfg != DefaultOptions() {
-		t.Errorf("NewCompileConfig() = %+v, want DefaultOptions", *cfg)
+	paper := CompileConfig{Mapping: MappingSABRE, SwapInsertion: true, LookAhead: 8, SwapThreshold: 4, Params: physics.Default()}
+	if *cfg != paper {
+		t.Errorf("NewCompileConfig() = %+v, want the paper defaults %+v", *cfg, paper)
 	}
 	cfg = NewCompileConfig(
 		WithMapping(MappingTrivial),
@@ -166,7 +168,7 @@ func TestNewCompileConfig(t *testing.T) {
 		WithTrace(),
 		WithRoutingLookAhead(false),
 	)
-	want := DefaultOptions()
+	want := paper
 	want.Mapping = MappingTrivial
 	want.SwapInsertion = false
 	want.LookAhead = 6

@@ -20,7 +20,7 @@ func TestCompileContextPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	_, err := CompileContext(ctx, c, d, DefaultOptions())
+	_, err := registryCompile(ctx, c, d, *NewCompileConfig())
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -38,7 +38,7 @@ func TestCompileContextDeadline(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := CompileContext(ctx, c, d, DefaultOptions()); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := registryCompile(ctx, c, d, *NewCompileConfig()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
 }
@@ -71,10 +71,10 @@ func TestCompileContextMidCompileCancel(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Observer = &cancelAfterGates{n: 100, cancel: cancel}
 	start := time.Now()
-	_, err := CompileContext(ctx, c, d, opts)
+	_, err := registryCompile(ctx, c, d, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (compile was not interrupted)", err)
 	}
@@ -83,21 +83,23 @@ func TestCompileContextMidCompileCancel(t *testing.T) {
 	}
 }
 
-// TestCompileContextBackgroundMatchesCompile: threading a live context must
-// not change the schedule.
+// TestCompileContextBackgroundMatchesCompile: threading a live,
+// cancellable context must not change the schedule.
 func TestCompileContextBackgroundMatchesCompile(t *testing.T) {
 	c := bench.MustByName("QAOA_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	plain, err := Compile(c, d, DefaultOptions())
+	plain, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := CompileContext(context.Background(), c, d, DefaultOptions())
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	withCtx, err := registryCompile(ctx, c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plain.Metrics != withCtx.Metrics {
-		t.Errorf("metrics differ: Compile %+v vs CompileContext %+v", plain.Metrics, withCtx.Metrics)
+		t.Errorf("metrics differ: background %+v vs cancellable %+v", plain.Metrics, withCtx.Metrics)
 	}
 }
 
@@ -121,10 +123,10 @@ func TestObserverSeesSchedulerEvents(t *testing.T) {
 	c := bench.MustByName("Adder_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
 	obs := &countingObserver{}
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Mapping = MappingTrivial
 	opts.Observer = obs
-	res, err := Compile(c, d, opts)
+	res, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,13 +154,13 @@ func TestObserverSeesSchedulerEvents(t *testing.T) {
 func TestObserverDoesNotChangeSchedule(t *testing.T) {
 	c := bench.MustByName("QAOA_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	bare, err := Compile(c, d, DefaultOptions())
+	bare, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Observer = &countingObserver{}
-	observed, err := Compile(c, d, opts)
+	observed, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,16 +203,16 @@ func (o *passObserver) SwapInserted(a, b int)         {}
 func TestObserverSeesTwoProductionPasses(t *testing.T) {
 	c := bench.MustByName("Adder_n128")
 	d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-	trivOpts := DefaultOptions()
+	trivOpts := *NewCompileConfig()
 	trivOpts.Mapping = MappingTrivial
-	triv, err := Compile(c, d, trivOpts)
+	triv, err := registryCompile(context.Background(), c, d, trivOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := &passObserver{t: t}
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Observer = obs
-	res, err := Compile(c, d, opts)
+	res, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

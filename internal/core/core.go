@@ -9,10 +9,10 @@
 // used resident is evicted one level down — the trap-world analogue of a
 // page fault.
 //
-// Compile is the entry point; CompileContext adds cooperative cancellation
-// (checked at every scheduler step) and per-step progress observation via
-// the Observer interface, so long compiles can be interrupted and watched
-// without forking the run loop.
+// The registry's "mussti" Compiler and CompileBatch are the entry points.
+// Both honour cooperative cancellation (checked at every scheduler step) and
+// report per-step progress through CompileConfig.Observer, so long compiles
+// can be interrupted and watched without forking the run loop.
 package core
 
 import (
@@ -54,34 +54,17 @@ type Result struct {
 	// after execution.
 	InitialMapping []int
 	FinalMapping   []int
-	// Trace is the op-level schedule when Options.Trace was set.
+	// Trace is the op-level schedule when CompileConfig.Trace was set.
 	Trace []sim.Op
-	// Report is the per-zone activity report when Options.Trace was set.
+	// Report is the per-zone activity report when CompileConfig.Trace was set.
 	Report *sim.Report
 }
 
-// Compile schedules circuit c onto device d with the given options and
-// returns the executed schedule's metrics. It errors when the device cannot
-// hold the circuit or an internal invariant breaks. It is CompileContext
-// with a background context.
-func Compile(c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
-	return CompileContext(context.Background(), c, d, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: the scheduling
-// loops (including the SABRE reverse probe) check ctx at every frontier
-// step, so a cancelled or expired context aborts a long compile within one
-// scheduler step and surfaces ctx.Err().
-//
-// A compile runs entirely on the calling goroutine, one pass after another
-// over one prep. MappingTrivial makes one production pass from the trivial
-// mapping. MappingSABRE makes three: the trivial production pass (which
-// doubles as the §3.4 forward probe), the reverse probe, and the SABRE
-// production pass. The Observer sees the two production passes, trivial
-// first, each as a complete pass; the reverse probe reports nothing.
-// Concurrency is the caller's business (eval's Runner holds one pool slot
-// per compile).
-func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options) (*Result, error) {
+// compile schedules circuit c onto device d and returns the executed
+// schedule's metrics; musstiCompiler.Compile documents the pass order and
+// cancellation. It errors when the device cannot hold the circuit or an
+// internal invariant breaks.
+func compile(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig) (*Result, error) {
 	opts = opts.withDefaults()
 	if c.NumQubits > d.Capacity() {
 		return nil, fmt.Errorf("core: circuit %q needs %d qubits, device holds %d",
@@ -102,7 +85,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 
 // compileWithPrep runs the production passes over an existing prep. opts
 // must already be withDefaults-normalised and the circuit known to fit d
-// (the callers — CompileContext and CompileBatch — check capacity).
+// (the callers — compile and CompileBatch — check capacity).
 // CompileTime is left zero for the caller to stamp.
 //
 // Under MappingSABRE the trivial candidate's production pass runs first:
@@ -111,7 +94,7 @@ func CompileContext(ctx context.Context, c *circuit.Circuit, d *arch.Device, opt
 // mapping is the probe's. The SABRE candidate wins unless the trivial one
 // reaches strictly higher fidelity: the search is a heuristic, and falling
 // back costs only compile time (which the Fig. 11 trade-off accounts for).
-func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options) (*Result, error) {
+func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig) (*Result, error) {
 	if opts.Mapping != MappingTrivial && opts.Mapping != MappingSABRE {
 		return nil, fmt.Errorf("core: unknown mapping strategy %d", opts.Mapping)
 	}
@@ -142,7 +125,7 @@ func compileWithPrep(ctx context.Context, p *prep, d *arch.Device, opts Options)
 
 // runCandidate executes one production pass from the given initial mapping
 // and packages the Result.
-func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) (*Result, error) {
+func runCandidate(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig, initial []int) (*Result, error) {
 	s, err := newSchedulerWith(ctx, p, d, opts, initial)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"testing"
 
 	"mussti/internal/arch"
@@ -9,13 +11,23 @@ import (
 	"mussti/internal/physics"
 )
 
+// registryCompile compiles through the registry's "mussti" entry, the
+// path every caller outside this package takes.
+func registryCompile(ctx context.Context, c *circuit.Circuit, t arch.Target, cfg CompileConfig) (*Result, error) {
+	comp, err := LookupCompiler("mussti")
+	if err != nil {
+		return nil, err
+	}
+	return comp.Compile(ctx, c, t, &cfg)
+}
+
 func device32() *arch.Device {
 	cfg := arch.DefaultConfig(32)
 	return arch.MustNew(cfg)
 }
 
 func TestDefaultOptions(t *testing.T) {
-	o := DefaultOptions()
+	o := *NewCompileConfig()
 	if o.Mapping != MappingSABRE || !o.SwapInsertion {
 		t.Errorf("default options = %+v", o)
 	}
@@ -25,14 +37,14 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestOptionsWithDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
+	o := CompileConfig{}.withDefaults()
 	if o.LookAhead != 8 || o.SwapThreshold != 4 {
 		t.Errorf("zero options not defaulted: %+v", o)
 	}
 	if o.Params.T1US != physics.Default().T1US {
 		t.Error("zero params not defaulted")
 	}
-	custom := Options{LookAhead: 3, SwapThreshold: 5}.withDefaults()
+	custom := CompileConfig{LookAhead: 3, SwapThreshold: 5}.withDefaults()
 	if custom.LookAhead != 3 || custom.SwapThreshold != 5 {
 		t.Error("explicit options overridden")
 	}
@@ -99,7 +111,7 @@ func TestTrivialMappingOverflowError(t *testing.T) {
 func TestCompileRejectsOversizedCircuit(t *testing.T) {
 	c := bench.MustByName("GHZ_n256")
 	d := device32() // 4 modules x 32 = 128 max
-	if _, err := Compile(c, d, DefaultOptions()); err == nil {
+	if _, err := registryCompile(context.Background(), c, d, *NewCompileConfig()); err == nil {
 		t.Error("oversized circuit accepted")
 	}
 }
@@ -108,13 +120,13 @@ func TestCompileSmallSuiteAllOptionCombos(t *testing.T) {
 	d := device32()
 	for _, name := range bench.SmallSuite() {
 		c := bench.MustByName(name)
-		for _, opts := range []Options{
+		for _, opts := range []CompileConfig{
 			{Mapping: MappingTrivial},
 			{Mapping: MappingTrivial, SwapInsertion: true},
 			{Mapping: MappingSABRE},
-			DefaultOptions(),
+			*NewCompileConfig(),
 		} {
-			res, err := Compile(c, d, opts)
+			res, err := registryCompile(context.Background(), c, d, opts)
 			if err != nil {
 				t.Fatalf("%s %v/%v: %v", name, opts.Mapping, opts.SwapInsertion, err)
 			}
@@ -140,11 +152,11 @@ func TestCompileSmallSuiteAllOptionCombos(t *testing.T) {
 func TestCompileDeterministic(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	d := device32()
-	a, err := Compile(c, d, DefaultOptions())
+	a, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Compile(c, d, DefaultOptions())
+	b, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +170,7 @@ func TestCompileDeterministic(t *testing.T) {
 func TestCompileMappingsRecorded(t *testing.T) {
 	c := bench.MustByName("GHZ_n32")
 	d := device32()
-	res, err := Compile(c, d, Options{Mapping: MappingTrivial})
+	res, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingTrivial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,9 +187,9 @@ func TestCompileMappingsRecorded(t *testing.T) {
 func TestCompileTraceWhenRequested(t *testing.T) {
 	c := bench.MustByName("BV_n32")
 	d := device32()
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Trace = true
-	res, err := Compile(c, d, opts)
+	res, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +197,7 @@ func TestCompileTraceWhenRequested(t *testing.T) {
 		t.Error("trace requested but empty")
 	}
 	opts.Trace = false
-	res, err = Compile(c, d, opts)
+	res, err = registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +211,7 @@ func TestCompileOnGridDevice(t *testing.T) {
 	g := arch.MustNewGrid(2, 2, 12)
 	for _, name := range bench.SmallSuite() {
 		c := bench.MustByName(name)
-		res, err := Compile(c, g.Device(), DefaultOptions())
+		res, err := registryCompile(context.Background(), c, g.Device(), *NewCompileConfig())
 		if err != nil {
 			t.Fatalf("%s on grid: %v", name, err)
 		}
@@ -218,11 +230,11 @@ func TestSabreBeatsOrMatchesTrivialOnLocalApps(t *testing.T) {
 	d := device32()
 	for _, name := range []string{"GHZ_n32", "Adder_n32"} {
 		c := bench.MustByName(name)
-		triv, err := Compile(c, d, Options{Mapping: MappingTrivial})
+		triv, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingTrivial})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sabre, err := Compile(c, d, Options{Mapping: MappingSABRE})
+		sabre, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingSABRE})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +249,7 @@ func TestCrossModuleGatesUseFiber(t *testing.T) {
 	c := circuit.New("x", 64)
 	c.MS(0, 63) // trivially mapped to different modules
 	d := arch.MustNew(arch.DefaultConfig(64))
-	res, err := Compile(c, d, Options{Mapping: MappingTrivial})
+	res, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingTrivial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,13 +264,13 @@ func TestCrossModuleGatesUseFiber(t *testing.T) {
 func TestPerfectShuttleImprovesFidelity(t *testing.T) {
 	c := bench.MustByName("SQRT_n30")
 	d := device32()
-	normal, err := Compile(c, d, DefaultOptions())
+	normal, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Params.PerfectShuttle = true
-	ideal, err := Compile(c, d, opts)
+	ideal, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,13 +283,13 @@ func TestPerfectShuttleImprovesFidelity(t *testing.T) {
 func TestPerfectGatesImproveFidelity(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	d := device32()
-	normal, err := Compile(c, d, DefaultOptions())
+	normal, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := DefaultOptions()
+	opts := *NewCompileConfig()
 	opts.Params.PerfectGates = true
-	ideal, err := Compile(c, d, opts)
+	ideal, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +306,7 @@ func TestCompileMediumScale(t *testing.T) {
 	for _, name := range bench.MediumSuite() {
 		c := bench.MustByName(name)
 		d := arch.MustNew(arch.DefaultConfig(c.NumQubits))
-		res, err := Compile(c, d, DefaultOptions())
+		res, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -315,13 +327,13 @@ func TestSwapInsertionTriggersOnStarPattern(t *testing.T) {
 		c.MS(0, i) // heavy follow-up work on module 1
 	}
 	d := arch.MustNew(arch.DefaultConfig(n))
-	opts := Options{Mapping: MappingTrivial, SwapInsertion: true, LookAhead: 8, SwapThreshold: 4}
-	with, err := Compile(c, d, opts)
+	opts := CompileConfig{Mapping: MappingTrivial, SwapInsertion: true, LookAhead: 8, SwapThreshold: 4}
+	with, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.SwapInsertion = false
-	without, err := Compile(c, d, opts)
+	without, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

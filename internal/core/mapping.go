@@ -70,7 +70,7 @@ func moduleBudget(d *arch.Device, m int) int {
 // from the per-circuit cache in prepcache.go, so repeated compiles of one
 // circuit reverse it once. forward is only read, so the caller may pass a
 // Result's FinalMapping as it is.
-func reverseProbe(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options, forward []int) ([]int, error) {
+func reverseProbe(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig, forward []int) ([]int, error) {
 	opts.Trace = false
 	opts.Observer = nil
 	rprep, pool := acquireReversePrep(c)

@@ -2,8 +2,8 @@ package core
 
 // Observer receives per-step callbacks from a running compilation, so
 // progress reporting and tooling attach as a pluggable layer instead of a
-// fork of the scheduling loop. Set it on Options (both this package's and
-// the baseline compilers').
+// fork of the scheduling loop. Set it as CompileConfig.Observer; MUSS-TI
+// and the baseline compilers all report through it.
 //
 // Callbacks arrive synchronously on the compiling goroutine: they must be
 // cheap and must not call back into the compiler. One Compile run may
@@ -27,8 +27,9 @@ type Observer interface {
 	SwapInserted(a, b int)
 }
 
-// nopObserver is the Observer the scheduler uses when Options.Observer is
-// nil, so the run loop never branches on observation.
+// nopObserver is the Observer the scheduler uses when
+// CompileConfig.Observer is nil, so the run loop never branches on
+// observation.
 type nopObserver struct{}
 
 func (nopObserver) GateScheduled(done, total int) {}

@@ -78,19 +78,13 @@ type CompileConfig struct {
 	Observer Observer
 }
 
-// Options configures a MUSS-TI compilation.
-//
-// Deprecated: Options is the pre-registry name of CompileConfig; both
-// compilers now share the one configuration type. New code should say
-// CompileConfig.
-type Options = CompileConfig
-
 // CompileOption mutates a CompileConfig; see NewCompileConfig.
 type CompileOption func(*CompileConfig)
 
-// NewCompileConfig returns the paper's MUSS-TI headline configuration
-// (DefaultOptions) with the given options applied — the constructor for
-// callers who want to tweak one knob without spelling out the whole struct:
+// NewCompileConfig returns the paper's MUSS-TI headline configuration —
+// SABRE mapping + SWAP insertion, k=8, T=4, Table-1 physics, as the
+// registry's "mussti" entry declares it — with the given options applied,
+// so callers tweak one knob without spelling out the whole struct:
 //
 //	cfg := core.NewCompileConfig(core.WithLookAhead(6), core.WithTrace())
 //
@@ -101,7 +95,7 @@ type CompileOption func(*CompileConfig)
 // its own defaults, pass nil to Compiler.Compile instead and vary only the
 // knob you mean to vary.
 func NewCompileConfig(opts ...CompileOption) *CompileConfig {
-	cfg := DefaultOptions()
+	cfg := musstiCompiler{}.DefaultConfig()
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -152,18 +146,6 @@ func WithObserver(o Observer) CompileOption {
 // selection (on by default).
 func WithRoutingLookAhead(on bool) CompileOption {
 	return func(c *CompileConfig) { c.DisableRoutingLookAhead = !on }
-}
-
-// DefaultOptions returns the paper's headline configuration:
-// SABRE mapping + SWAP insertion, k=8, T=4, Table-1 physics.
-func DefaultOptions() CompileConfig {
-	return CompileConfig{
-		Mapping:       MappingSABRE,
-		SwapInsertion: true,
-		LookAhead:     8,
-		SwapThreshold: 4,
-		Params:        physics.Default(),
-	}
 }
 
 // CacheKey renders every semantic field deterministically for measurement

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"testing"
 
 	"mussti/internal/arch"
@@ -31,11 +33,11 @@ func TestReversePrepCacheReuse(t *testing.T) {
 		t.Errorf("second acquire always built a fresh prep; want the pooled one back")
 	}
 
-	first, err := Compile(c, d, DefaultOptions())
+	first, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := Compile(c, d, DefaultOptions())
+	second, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"testing"
 
 	"mussti/internal/arch"
@@ -24,8 +26,8 @@ func TestAllPoliciesCompleteAndVerify(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	st := c.Stats()
 	for _, pol := range []ReplacementPolicy{ReplaceLRU, ReplaceFIFO, ReplaceRandom, ReplaceBelady} {
-		opts := Options{Mapping: MappingTrivial, Replacement: pol}
-		res, err := Compile(c, d, opts)
+		opts := CompileConfig{Mapping: MappingTrivial, Replacement: pol}
+		res, err := registryCompile(context.Background(), c, d, opts)
 		if err != nil {
 			t.Fatalf("%v: %v", pol, err)
 		}
@@ -39,12 +41,12 @@ func TestPoliciesAreDeterministic(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(30))
 	c := bench.MustByName("SQRT_n30")
 	for _, pol := range []ReplacementPolicy{ReplaceRandom, ReplaceFIFO} {
-		opts := Options{Mapping: MappingTrivial, Replacement: pol}
-		a, err := Compile(c, d, opts)
+		opts := CompileConfig{Mapping: MappingTrivial, Replacement: pol}
+		a, err := registryCompile(context.Background(), c, d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compile(c, d, opts)
+		b, err := registryCompile(context.Background(), c, d, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,7 +63,7 @@ func TestLRUCompetitiveWithBelady(t *testing.T) {
 	d := arch.MustNew(arch.DefaultConfig(30))
 	c := bench.MustByName("SQRT_n30")
 	run := func(pol ReplacementPolicy) int {
-		res, err := Compile(c, d, Options{Mapping: MappingTrivial, Replacement: pol})
+		res, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingTrivial, Replacement: pol})
 		if err != nil {
 			t.Fatal(err)
 		}

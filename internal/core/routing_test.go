@@ -17,7 +17,7 @@ func testScheduler(t *testing.T, c *circuit.Circuit, placement []int) (*schedule
 		Modules: 2, TrapCapacity: 4,
 		StorageZones: 1, OperationZones: 1, OpticalZones: 1,
 	})
-	s, err := newScheduler(context.Background(), c, d, Options{}.withDefaults(), placement)
+	s, err := newScheduler(context.Background(), c, d, CompileConfig{}.withDefaults(), placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ type scheduler struct {
 	ctx  context.Context
 	c    *circuit.Circuit
 	d    *arch.Device
-	opts Options
+	opts CompileConfig
 	eng  *sim.Engine
 	g    *dag.Graph
 	obs  Observer
@@ -76,7 +76,7 @@ func newPrep(c *circuit.Circuit) *prep {
 	return p
 }
 
-func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts Options, initial []int) (*scheduler, error) {
+func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts CompileConfig, initial []int) (*scheduler, error) {
 	return newSchedulerWith(ctx, newPrep(c), d, opts, initial)
 }
 
@@ -85,7 +85,7 @@ func newScheduler(ctx context.Context, c *circuit.Circuit, d *arch.Device, opts 
 // to the pass (execution state lives in the scheduler and the graph's
 // resettable bookkeeping), so passes may reuse one prep back to back — but
 // not concurrently.
-func newSchedulerWith(ctx context.Context, p *prep, d *arch.Device, opts Options, initial []int) (*scheduler, error) {
+func newSchedulerWith(ctx context.Context, p *prep, d *arch.Device, opts CompileConfig, initial []int) (*scheduler, error) {
 	p.g.Reset()
 	s := &scheduler{
 		ctx:      ctx,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"math"
 	"math/rand"
 	"testing"
@@ -13,10 +15,10 @@ import (
 
 // compileAndExtract compiles c with tracing, verifies the schedule and
 // returns the executed gate order.
-func compileAndExtract(t *testing.T, c *circuit.Circuit, d *arch.Device, opts Options) []int {
+func compileAndExtract(t *testing.T, c *circuit.Circuit, d *arch.Device, opts CompileConfig) []int {
 	t.Helper()
 	opts.Trace = true
-	res, err := Compile(c, d, opts)
+	res, err := registryCompile(context.Background(), c, d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +89,7 @@ func TestScheduleSemanticEquivalence(t *testing.T) {
 	}
 
 	for _, tc := range builders {
-		for _, opts := range []Options{
+		for _, opts := range []CompileConfig{
 			{Mapping: MappingTrivial},
 			{Mapping: MappingSABRE, SwapInsertion: true},
 		} {
@@ -125,7 +127,7 @@ func TestScheduleExecutesEveryGateExactlyOnce(t *testing.T) {
 		c.Measure(i)
 	}
 	d := arch.MustNew(arch.Config{Modules: 2, TrapCapacity: 4, StorageZones: 1, OperationZones: 1, OpticalZones: 1})
-	order := compileAndExtract(t, c, d, DefaultOptions())
+	order := compileAndExtract(t, c, d, *NewCompileConfig())
 	seen := make([]bool, len(c.Gates))
 	for _, gi := range order {
 		if seen[gi] {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+
 	"testing"
 
 	"mussti/internal/arch"
@@ -10,7 +12,7 @@ import (
 func TestSchedStatsAccounting(t *testing.T) {
 	c := bench.MustByName("QFT_n32")
 	d := arch.MustNew(arch.DefaultConfig(32))
-	res, err := Compile(c, d, DefaultOptions())
+	res, err := registryCompile(context.Background(), c, d, *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestSchedStatsEvictionsDriveShuttles(t *testing.T) {
 	cfg.TrapCapacity = 6
 	d := arch.MustNew(cfg)
 	c := bench.MustByName("SQRT_n30")
-	res, err := Compile(c, d, Options{Mapping: MappingTrivial})
+	res, err := registryCompile(context.Background(), c, d, CompileConfig{Mapping: MappingTrivial})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +56,7 @@ func TestSchedStatsZeroOnFreeCircuit(t *testing.T) {
 	// but never consider SWAPs (no optical zones on a grid).
 	g := arch.MustNewGrid(2, 2, 12)
 	c := bench.MustByName("GHZ_n32")
-	res, err := Compile(c, g.Device(), DefaultOptions())
+	res, err := registryCompile(context.Background(), c, g.Device(), *NewCompileConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

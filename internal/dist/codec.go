@@ -230,16 +230,11 @@ func SniffFrame(data []byte) (string, error) {
 	return probe.Kind, nil
 }
 
-// WireSpecOf resolves and validates a job for transport, returning its wire
-// spec. Legacy Mussti/Baseline spec jobs convert through their existing
-// CompileSpec conversion, so both API styles share one wire form. Jobs that
-// fail to resolve — or that cannot cross the wire losslessly — error here,
-// before any dispatch, so a transport-level retry never re-pays validation.
+// WireSpecOf validates a job for transport, returning its wire spec. Jobs
+// that cannot cross the wire losslessly error here, before any dispatch, so
+// a transport-level retry never re-pays validation.
 func WireSpecOf(j eval.Job) (WireSpec, error) {
-	s, err := j.Resolve()
-	if err != nil {
-		return WireSpec{}, fmt.Errorf("dist: encoding job: %w", err)
-	}
+	s := j.Spec
 	// encoding/json silently rewrites invalid UTF-8 to U+FFFD, which would
 	// mutate the name (and the cache key) in transit. A name the codec
 	// cannot carry losslessly must fail loudly here instead.
@@ -291,8 +286,7 @@ func DecodeJob(data []byte) (uint64, eval.Job, error) {
 	if env.Kind != KindJob {
 		return 0, eval.Job{}, fmt.Errorf("dist: job envelope has kind %q, want %q", env.Kind, KindJob)
 	}
-	spec := specFromWire(env.Spec)
-	return env.Seq, eval.Job{Spec: &spec}, nil
+	return env.Seq, eval.Job{Spec: specFromWire(env.Spec)}, nil
 }
 
 // EncodeBatch renders several jobs as one batch frame.
@@ -326,9 +320,8 @@ func DecodeBatch(data []byte) ([]uint64, []eval.Job, error) {
 	seqs := make([]uint64, len(env.Jobs))
 	jobs := make([]eval.Job, len(env.Jobs))
 	for i, wj := range env.Jobs {
-		spec := specFromWire(wj.Spec)
 		seqs[i] = wj.Seq
-		jobs[i] = eval.Job{Spec: &spec}
+		jobs[i] = eval.Job{Spec: specFromWire(wj.Spec)}
 	}
 	return seqs, jobs, nil
 }

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
 	"mussti/internal/core"
 	"mussti/internal/eval"
 	"mussti/internal/physics"
@@ -28,14 +27,8 @@ func roundTrip(t *testing.T, name string, j eval.Job) {
 	if seq != 7 {
 		t.Errorf("%s: seq 7 round-tripped to %d", name, seq)
 	}
-	want, err := j.Resolve()
-	if err != nil {
-		t.Fatalf("%s: resolve: %v", name, err)
-	}
-	got, err := back.Resolve()
-	if err != nil {
-		t.Fatalf("%s: decoded job does not resolve: %v", name, err)
-	}
+	want := j.Spec
+	got := back.Spec
 	// The Observer is the one deliberate loss (callbacks cannot cross a
 	// process boundary and never affect a measurement); null it before the
 	// deep comparison so everything else must match.
@@ -83,52 +76,10 @@ func TestEnvelopeRoundTripExhaustive(t *testing.T) {
 				}
 				for ci, cfg := range configs {
 					s := eval.CompileSpec{App: "GHZ_n32", Compiler: comp, Grid: g, Arch: a, Config: cfg}
-					roundTrip(t, comp+"/"+string(rune('a'+gi))+string(rune('0'+ai))+string(rune('0'+ci)), eval.Job{Spec: &s})
+					roundTrip(t, comp+"/"+string(rune('a'+gi))+string(rune('0'+ai))+string(rune('0'+ci)), eval.Job{Spec: s})
 				}
 			}
 		}
-	}
-}
-
-// TestLegacySpecsEncodeViaConversion: the deprecated Mussti/Baseline spec
-// styles cross the wire through their existing CompileSpec conversion, so a
-// legacy job and its registry twin land on the same cache key after decode
-// (their envelopes may differ in spelling — the legacy conversion writes an
-// explicit default config where the registry style leaves nil — but never
-// in meaning).
-func TestLegacySpecsEncodeViaConversion(t *testing.T) {
-	legacy := eval.Job{Baseline: &eval.BaselineSpec{App: "BV_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 3, Capacity: 8}}
-	registry := eval.Job{Spec: &eval.CompileSpec{App: "BV_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 3, 8)}}
-	roundTrip(t, "legacy-baseline", legacy)
-	keyOf := func(j eval.Job) string {
-		t.Helper()
-		line, err := EncodeJob(1, j)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, back, err := DecodeJob(line)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := back.Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
-		k, ok := s.CacheKey()
-		if !ok {
-			t.Fatalf("uncacheable after decode: %+v", s)
-		}
-		return k
-	}
-	if l, r := keyOf(legacy), keyOf(registry); l != r {
-		t.Errorf("legacy and registry jobs decode to different cache keys:\n%s\n%s", l, r)
-	}
-
-	mLegacy := eval.Job{Mussti: &eval.MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
-	roundTrip(t, "legacy-mussti", mLegacy)
-
-	if _, err := EncodeJob(1, eval.Job{}); err == nil {
-		t.Error("empty job encoded; want error")
 	}
 }
 
@@ -138,7 +89,7 @@ func TestLegacySpecsEncodeViaConversion(t *testing.T) {
 func TestObserverNeverCrossesTheWire(t *testing.T) {
 	cfg := core.NewCompileConfig(core.WithObserver(core.ObserverOrNop(nil)))
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: cfg}
-	line, err := EncodeJob(1, eval.Job{Spec: &s})
+	line, err := EncodeJob(1, eval.Job{Spec: s})
 	if err != nil {
 		t.Fatalf("observer made the job unencodable: %v", err)
 	}
@@ -146,10 +97,7 @@ func TestObserverNeverCrossesTheWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := back.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := back.Spec
 	if got.Config == nil || got.Config.Observer != nil {
 		t.Errorf("observer crossed the wire: %+v", got.Config)
 	}
@@ -251,7 +199,7 @@ func TestDecodeRejectsOldWireVersion(t *testing.T) {
 // before any shape-specific parsing.
 func TestSniffFrameRoutesKinds(t *testing.T) {
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti"}
-	spec, err := WireSpecOf(eval.Job{Spec: &s})
+	spec, err := WireSpecOf(eval.Job{Spec: s})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +244,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	wire := make([]WireJob, len(apps))
 	for i, app := range apps {
 		s := eval.CompileSpec{App: app, Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
-		spec, err := WireSpecOf(eval.Job{Spec: &s})
+		spec, err := WireSpecOf(eval.Job{Spec: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,10 +265,7 @@ func TestBatchRoundTrip(t *testing.T) {
 		if seqs[i] != uint64(100+i) {
 			t.Errorf("member %d: seq %d, want %d", i, seqs[i], 100+i)
 		}
-		got, err := jobs[i].Resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := jobs[i].Spec
 		if got.App != apps[i] {
 			t.Errorf("member %d: app %q, want %q", i, got.App, apps[i])
 		}
@@ -396,10 +341,10 @@ func TestBatchResultRoundTrip(t *testing.T) {
 // and type confusions.
 func FuzzDecodeJobEnvelope(f *testing.F) {
 	seedJobs := []eval.Job{
-		{Spec: &eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
-		{Spec: &eval.CompileSpec{App: "QFT_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
-		{Spec: &eval.CompileSpec{App: "BV_n32", Compiler: "murali", Config: core.NewCompileConfig(core.WithLookAhead(5))}},
-		{Spec: &eval.CompileSpec{App: "SQRT_n30", Compiler: "mqt", Arch: arch.DefaultConfig(30)}},
+		{Spec: eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
+		{Spec: eval.CompileSpec{App: "QFT_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: eval.CompileSpec{App: "BV_n32", Compiler: "murali", Config: core.NewCompileConfig(core.WithLookAhead(5))}},
+		{Spec: eval.CompileSpec{App: "SQRT_n30", Compiler: "mqt", Arch: arch.DefaultConfig(30)}},
 	}
 	for _, j := range seedJobs {
 		line, err := EncodeJob(1, j)
@@ -417,10 +362,7 @@ func FuzzDecodeJobEnvelope(f *testing.F) {
 		if err != nil {
 			return // malformed input must error, and it did
 		}
-		spec, err := job.Resolve()
-		if err != nil {
-			t.Fatalf("decoded job does not resolve: %v", err)
-		}
+		spec := job.Spec
 		k1, ok1 := spec.CacheKey()
 		line, err := EncodeJob(seq, job)
 		if err != nil {
@@ -433,10 +375,7 @@ func FuzzDecodeJobEnvelope(f *testing.F) {
 		if seq2 != seq {
 			t.Fatalf("seq %d re-encoded to %d", seq, seq2)
 		}
-		spec2, err := job2.Resolve()
-		if err != nil {
-			t.Fatalf("re-decoded job does not resolve: %v", err)
-		}
+		spec2 := job2.Spec
 		k2, ok2 := spec2.CacheKey()
 		if ok1 != ok2 || k1 != k2 {
 			t.Fatalf("cache key not preserved:\nfirst  (%v) %s\nsecond (%v) %s", ok1, k1, ok2, k2)
@@ -470,7 +409,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 				Params:        physics.Default(),
 			}
 		}
-		j := eval.Job{Spec: &s}
+		j := eval.Job{Spec: s}
 		line, err := EncodeJob(1, j)
 		if err != nil {
 			// Two inputs are legitimately unencodable: non-finite floats
@@ -486,10 +425,7 @@ func FuzzSpecRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("own encoding does not decode: %v", err)
 		}
-		got, err := back.Resolve()
-		if err != nil {
-			t.Fatalf("decoded job does not resolve: %v", err)
-		}
+		got := back.Spec
 		k1, ok1 := s.CacheKey()
 		k2, ok2 := got.CacheKey()
 		if ok1 != ok2 || k1 != k2 {

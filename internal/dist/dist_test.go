@@ -166,7 +166,7 @@ func testJobs() []eval.Job {
 	for _, app := range []string{"GHZ_n32", "BV_n32", "QAOA_n32"} {
 		for _, g := range []*arch.Grid{g22, g23} {
 			s := eval.CompileSpec{App: app, Compiler: "mussti", Grid: g}
-			jobs = append(jobs, eval.Job{Spec: &s})
+			jobs = append(jobs, eval.Job{Spec: s})
 		}
 	}
 	return jobs
@@ -294,11 +294,11 @@ func TestStaleSeqIsWorkerDeath(t *testing.T) {
 	lock := tempPath(t, "stale-once")
 	coord := helperCoordinator(t, 1, nil, "MUSSTI_DIST_STALE_LOCK="+lock)
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
-	m, err := coord.RunJob(context.Background(), eval.Job{Spec: &s})
+	m, err := coord.RunJob(context.Background(), eval.Job{Spec: s})
 	if err != nil {
 		t.Fatalf("job did not survive a stale-seq worker: %v", err)
 	}
-	localMs, err := (*eval.Runner)(nil).Run(context.Background(), []eval.Job{{Spec: &s}})
+	localMs, err := (*eval.Runner)(nil).Run(context.Background(), []eval.Job{{Spec: s}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestCloseRacesRunJobDuringRespawn(t *testing.T) {
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.RunJob(context.Background(), eval.Job{Spec: &s})
+		_, err := coord.RunJob(context.Background(), eval.Job{Spec: s})
 		done <- err
 	}()
 	// Let the crash happen and the respawn begin, then slam the door.
@@ -406,7 +406,7 @@ func TestCloseRacesRunJobDuringRespawn(t *testing.T) {
 func TestJobErrorsAreNotRetried(t *testing.T) {
 	coord := helperCoordinator(t, 1, nil)
 	s := eval.CompileSpec{App: "NoSuchApp_n5", Compiler: "mussti"}
-	_, err := coord.RunJob(context.Background(), eval.Job{Spec: &s})
+	_, err := coord.RunJob(context.Background(), eval.Job{Spec: s})
 	if err == nil {
 		t.Fatal("unknown app succeeded remotely")
 	}
@@ -416,7 +416,7 @@ func TestJobErrorsAreNotRetried(t *testing.T) {
 	// The worker answered (it did not die), so the fleet must be intact and
 	// immediately reusable.
 	s2 := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
-	if _, err := coord.RunJob(context.Background(), eval.Job{Spec: &s2}); err != nil {
+	if _, err := coord.RunJob(context.Background(), eval.Job{Spec: s2}); err != nil {
 		t.Errorf("fleet unusable after a job error: %v", err)
 	}
 	if st := coord.Stats(); st.Deaths != 0 || st.Retried != 0 {
@@ -492,7 +492,7 @@ func TestCancelLeavesNoOrphansOrGoroutines(t *testing.T) {
 	s := eval.CompileSpec{App: "GHZ_n4", Compiler: blockingCompiler{}.Name()}
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := coord.RunJob(ctx, eval.Job{Spec: &s})
+		_, err := coord.RunJob(ctx, eval.Job{Spec: s})
 		errCh <- err
 	}()
 	// Cancel only once a worker is inside the compile. It stays blocked
@@ -559,7 +559,7 @@ func TestFleetLostFailsInsteadOfHanging(t *testing.T) {
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.RunJob(context.Background(), eval.Job{Spec: &s})
+		_, err := coord.RunJob(context.Background(), eval.Job{Spec: s})
 		done <- err
 	}()
 	select {
@@ -583,7 +583,7 @@ func TestCloseIdempotentAndFailsNewJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := eval.CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}
-	if _, err := coord.RunJob(context.Background(), eval.Job{Spec: &s}); !errors.Is(err, errClosed) {
+	if _, err := coord.RunJob(context.Background(), eval.Job{Spec: s}); !errors.Is(err, errClosed) {
 		t.Errorf("RunJob after Close: %v, want errClosed", err)
 	}
 }

@@ -31,10 +31,7 @@ func (r *Runner) planUnits(jobs []Job) [][]int {
 	keys := make([]string, len(jobs))
 	if groupable {
 		for i, j := range jobs {
-			s, err := j.Resolve()
-			if err != nil {
-				continue // stays a singleton; the error surfaces when it runs
-			}
+			s := j.Spec
 			comp, err := core.LookupCompiler(s.Compiler)
 			if err != nil {
 				continue
@@ -75,11 +72,7 @@ func (r *Runner) planUnits(jobs []Job) [][]int {
 func (r *Runner) runBatchUnit(ctx context.Context, jobs []Job, unit []int, ms []Measurement) error {
 	specs := make([]CompileSpec, len(unit))
 	for k, i := range unit {
-		s, err := jobs[i].Resolve()
-		if err != nil {
-			return err
-		}
-		specs[k] = s
+		specs[k] = jobs[i].Spec
 	}
 	comp, err := core.LookupCompiler(specs[0].Compiler)
 	if err != nil {

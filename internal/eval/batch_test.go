@@ -54,7 +54,7 @@ func TestExperimentsByteIdenticalAcrossExecutionModes(t *testing.T) {
 func TestBatchRunnerCancelLeavesNoGoroutines(t *testing.T) {
 	jobs := make([]Job, 0, 64)
 	for i := 0; i < 64; i++ {
-		jobs = append(jobs, Job{Spec: &CompileSpec{App: "GHZ_n64", Compiler: "mussti"}})
+		jobs = append(jobs, Job{Spec: CompileSpec{App: "GHZ_n64", Compiler: "mussti"}})
 	}
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

@@ -2,7 +2,6 @@ package eval
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -36,28 +35,4 @@ func WriteMeasurementsCSV(w io.Writer, ms []Measurement) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// CollectComparison runs one application through MUSS-TI (on its EML
-// device) and the given grid baselines, returning the measurements — the
-// unit of data behind Fig. 6, exported for users who want raw numbers.
-func CollectComparison(app string, rows, cols, capacity int, baselines []BaselineSpec) ([]Measurement, error) {
-	var out []Measurement
-	ours, err := RunMussti(MusstiSpec{App: app})
-	if err != nil {
-		return nil, err
-	}
-	out = append(out, ours)
-	for _, spec := range baselines {
-		spec.App = app
-		if spec.Rows == 0 {
-			spec.Rows, spec.Cols, spec.Capacity = rows, cols, capacity
-		}
-		m, err := RunBaseline(spec)
-		if err != nil {
-			return nil, fmt.Errorf("eval: %s: %w", app, err)
-		}
-		out = append(out, m)
-	}
-	return out, nil
 }

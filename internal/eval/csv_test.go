@@ -3,11 +3,8 @@ package eval
 import (
 	"bytes"
 	"encoding/csv"
-	"strings"
 	"testing"
 	"time"
-
-	"mussti/internal/baseline"
 )
 
 func TestWriteMeasurementsCSV(t *testing.T) {
@@ -37,28 +34,5 @@ func TestWriteMeasurementsCSV(t *testing.T) {
 	}
 	if records[2][1] != "QCCD-Dai" {
 		t.Errorf("row 2 = %v", records[2])
-	}
-}
-
-func TestCollectComparison(t *testing.T) {
-	ms, err := CollectComparison("GHZ_n32", 2, 2, 12, []BaselineSpec{
-		{Algorithm: baseline.Murali},
-		{Algorithm: baseline.Dai},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ms) != 3 {
-		t.Fatalf("measurements = %d, want 3", len(ms))
-	}
-	if ms[0].Compiler != "MUSS-TI" {
-		t.Errorf("first measurement = %q", ms[0].Compiler)
-	}
-	var buf bytes.Buffer
-	if err := WriteMeasurementsCSV(&buf, ms); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "QCCD-Murali") {
-		t.Error("CSV missing baseline row")
 	}
 }

@@ -1,16 +1,20 @@
 package eval
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
-	"mussti/internal/core"
 )
 
+// runSpec compiles one spec the way a nil Runner does.
+func runSpec(spec CompileSpec) (Measurement, error) {
+	return Job{Spec: spec}.run(context.Background())
+}
+
 func TestRunMusstiOnEML(t *testing.T) {
-	m, err := RunMussti(MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()})
+	m, err := runSpec(CompileSpec{App: "GHZ_n32", Compiler: "mussti"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,11 +30,7 @@ func TestRunMusstiOnEML(t *testing.T) {
 }
 
 func TestRunMusstiOnGrid(t *testing.T) {
-	m, err := RunMussti(MusstiSpec{
-		App:  "GHZ_n32",
-		Grid: arch.MustNewGrid(2, 2, 12),
-		Opts: core.DefaultOptions(),
-	})
+	m, err := runSpec(CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,15 +40,13 @@ func TestRunMusstiOnGrid(t *testing.T) {
 }
 
 func TestRunMusstiBadApp(t *testing.T) {
-	if _, err := RunMussti(MusstiSpec{App: "Nope_n12"}); err == nil {
+	if _, err := runSpec(CompileSpec{App: "Nope_n12", Compiler: "mussti"}); err == nil {
 		t.Error("unknown app accepted")
 	}
 }
 
 func TestRunBaseline(t *testing.T) {
-	m, err := RunBaseline(BaselineSpec{
-		App: "BV_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 2, Capacity: 12,
-	})
+	m, err := runSpec(CompileSpec{App: "BV_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,8 +55,10 @@ func TestRunBaseline(t *testing.T) {
 	}
 }
 
+// TestRunBaselineBadGrid: a grid too small for the app is an error, not a
+// measurement.
 func TestRunBaselineBadGrid(t *testing.T) {
-	if _, err := RunBaseline(BaselineSpec{App: "BV_n32", Rows: 0, Cols: 2, Capacity: 12}); err == nil {
+	if _, err := runSpec(CompileSpec{App: "BV_n32", Compiler: "murali", Grid: arch.MustNewGrid(1, 2, 12)}); err == nil {
 		t.Error("bad grid accepted")
 	}
 }
@@ -148,18 +148,15 @@ func TestTable2ShapeHolds(t *testing.T) {
 	// fewest shuttles, MQT most.
 	app := "SQRT_n30"
 	rows, cols, capacity := 2, 3, 8
-	ours, err := RunMussti(MusstiSpec{App: app, Grid: arch.MustNewGrid(rows, cols, capacity), Opts: core.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	get := func(a baseline.Algorithm) Measurement {
-		m, err := RunBaseline(BaselineSpec{App: app, Algorithm: a, Rows: rows, Cols: cols, Capacity: capacity})
+	g := arch.MustNewGrid(rows, cols, capacity)
+	get := func(compiler string) Measurement {
+		m, err := runSpec(CompileSpec{App: app, Compiler: compiler, Grid: g})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return m
 	}
-	mur, dai, mqt := get(baseline.Murali), get(baseline.Dai), get(baseline.MQT)
+	ours, mur, dai, mqt := get("mussti"), get("murali"), get("dai"), get("mqt")
 	if !(ours.Shuttles <= dai.Shuttles && dai.Shuttles <= mur.Shuttles && mur.Shuttles < mqt.Shuttles) {
 		t.Errorf("shuttle ordering broken: ours=%d dai=%d murali=%d mqt=%d",
 			ours.Shuttles, dai.Shuttles, mur.Shuttles, mqt.Shuttles)

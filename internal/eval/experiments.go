@@ -299,7 +299,7 @@ func table2Plan(sel []string) (*Plan, error) {
 		g := arch.MustNewGrid(st.Rows, st.Cols, st.Capacity)
 		for _, app := range bench.SmallSuite() {
 			for _, name := range comps {
-				jobs = append(jobs, Job{Spec: &CompileSpec{App: app, Compiler: name, Grid: g}})
+				jobs = append(jobs, Job{Spec: CompileSpec{App: app, Compiler: name, Grid: g}})
 			}
 		}
 	}
@@ -417,7 +417,7 @@ func fig6Plan(filter string, sel []string) (*Plan, error) {
 		g := arch.MustNewGrid(sc.Rows, sc.Cols, sc.Capacity)
 		for _, app := range sc.Apps {
 			for _, name := range comps {
-				spec := &CompileSpec{App: app, Compiler: name}
+				spec := CompileSpec{App: app, Compiler: name}
 				if sc.OursOnGrid || !emlCapable[name] {
 					spec.Grid = g
 				}
@@ -513,7 +513,7 @@ func fig7Plan(sel []string) (*Plan, error) {
 			for _, capacity := range caps {
 				cfg := arch.DefaultConfig(c.NumQubits)
 				cfg.TrapCapacity = capacity
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name, Arch: cfg}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name, Arch: cfg}})
 			}
 		}
 		return js, nil
@@ -559,7 +559,7 @@ func fig8Plan(sel []string) (*Plan, error) {
 		for _, app := range apps {
 			for _, cfg := range ablationConfigs {
 				opts := cfg.Opts
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name, Config: &opts}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name, Config: &opts}})
 			}
 		}
 		return js, nil
@@ -597,7 +597,7 @@ func fig9Plan(sel []string) (*Plan, error) {
 		var js []Job
 		for _, app := range apps {
 			for _, k := range ks {
-				js = append(js, Job{Spec: &CompileSpec{
+				js = append(js, Job{Spec: CompileSpec{
 					App: app, Compiler: name, Config: core.NewCompileConfig(core.WithLookAhead(k)),
 				}})
 			}
@@ -635,7 +635,7 @@ func fig10Plan(sel []string) (*Plan, error) {
 		for _, fam := range families {
 			for _, n := range sizes {
 				app := fmt.Sprintf("%s_n%d", fam, n)
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name}})
 			}
 		}
 		return js, nil
@@ -677,7 +677,7 @@ func fig11Plan(sel []string) (*Plan, error) {
 		for _, app := range apps {
 			for _, cfg := range ablationConfigs {
 				opts := cfg.Opts
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name, Config: &opts}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name, Config: &opts}})
 			}
 		}
 		return js, nil
@@ -726,7 +726,7 @@ func fig12Plan(sel []string) (*Plan, error) {
 			for _, z := range zones {
 				cfg := arch.DefaultConfig(c.NumQubits)
 				cfg.OpticalZones = z
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name, Arch: cfg}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name, Arch: cfg}})
 			}
 		}
 		return js, nil
@@ -766,7 +766,7 @@ func fig13Plan(sel []string) (*Plan, error) {
 		var js []Job
 		for _, app := range apps {
 			for _, mode := range fig13Modes {
-				js = append(js, Job{Spec: &CompileSpec{
+				js = append(js, Job{Spec: CompileSpec{
 					App: app, Compiler: name,
 					Config: core.NewCompileConfig(core.WithPhysics(idealParams(mode.gates, mode.shuttle))),
 				}})

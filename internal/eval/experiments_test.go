@@ -3,6 +3,8 @@ package eval
 import (
 	"strings"
 	"testing"
+
+	"mussti/internal/core"
 )
 
 // TestCheapExperimentsEndToEnd runs the experiments that complete in about
@@ -42,13 +44,13 @@ func TestFig8AblationOrderingOnHeavyApp(t *testing.T) {
 	}
 	// The combined strategy must beat trivial on the most communication-
 	// heavy medium app — the paper's central Fig. 8 claim.
-	trivial, err := RunMussti(MusstiSpec{App: "SQRT_n117",
-		Opts: ablationConfigs[0].Opts})
+	trivial, err := runSpec(CompileSpec{App: "SQRT_n117", Compiler: "mussti",
+		Config: &ablationConfigs[0].Opts})
 	if err != nil {
 		t.Fatal(err)
 	}
-	combined, err := RunMussti(MusstiSpec{App: "SQRT_n117",
-		Opts: ablationConfigs[3].Opts})
+	combined, err := runSpec(CompileSpec{App: "SQRT_n117", Compiler: "mussti",
+		Config: &ablationConfigs[3].Opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,7 @@ func TestFig13EnvelopesBoundMussti(t *testing.T) {
 	}
 	// Idealised physics can only help: both envelopes must sit at or
 	// above the realistic run for a representative app.
-	base, err := RunMussti(MusstiSpec{App: "GHZ_n128"})
+	base, err := runSpec(CompileSpec{App: "GHZ_n128", Compiler: "mussti", Config: &core.CompileConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +74,8 @@ func TestFig13EnvelopesBoundMussti(t *testing.T) {
 		name           string
 		gates, shuttle bool
 	}{{"perfect gate", true, false}, {"perfect shuttle", false, true}} {
-		spec := MusstiSpec{App: "GHZ_n128"}
-		spec.Opts.Params = idealParams(mode.gates, mode.shuttle)
-		m, err := RunMussti(spec)
+		ideal := core.CompileConfig{Params: idealParams(mode.gates, mode.shuttle)}
+		m, err := runSpec(CompileSpec{App: "GHZ_n128", Compiler: "mussti", Config: &ideal})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func lruPlan(sel []string) (*Plan, error) {
 		var js []Job
 		for _, app := range bench.MediumSuite() {
 			for _, pol := range lruPolicies {
-				js = append(js, Job{Spec: &CompileSpec{
+				js = append(js, Job{Spec: CompileSpec{
 					App: app, Compiler: name,
 					Config: &core.CompileConfig{Mapping: core.MappingTrivial, Replacement: pol},
 				}})
@@ -102,8 +102,8 @@ func routingPlan(sel []string) (*Plan, error) {
 		var js []Job
 		for _, app := range apps {
 			js = append(js,
-				Job{Spec: &CompileSpec{App: app, Compiler: name, Config: core.NewCompileConfig()}},
-				Job{Spec: &CompileSpec{App: app, Compiler: name, Config: core.NewCompileConfig(core.WithRoutingLookAhead(false))}},
+				Job{Spec: CompileSpec{App: app, Compiler: name, Config: core.NewCompileConfig()}},
+				Job{Spec: CompileSpec{App: app, Compiler: name, Config: core.NewCompileConfig(core.WithRoutingLookAhead(false))}},
 			)
 		}
 		return js, nil
@@ -144,7 +144,7 @@ func portsPlan(sel []string) (*Plan, error) {
 			for _, p := range ports {
 				cfg := arch.DefaultConfig(c.NumQubits)
 				cfg.OpticalCapacity = p
-				js = append(js, Job{Spec: &CompileSpec{App: app, Compiler: name, Arch: cfg}})
+				js = append(js, Job{Spec: CompileSpec{App: app, Compiler: name, Arch: cfg}})
 			}
 		}
 		return js, nil

@@ -5,16 +5,13 @@ import (
 	"testing"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
 	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
 )
 
-// TestWrapperRegistryByteIdentical is the migration contract of the
-// compiler registry: table2 rendered through the registry path (CompileSpec
-// jobs resolved via LookupCompiler) is byte-identical to the same table
-// computed through the deprecated wrapper API (core.Compile /
-// baseline.Compile with the pre-registry Options types).
+// TestWrapperRegistryByteIdentical: table2 rendered through the plan path
+// (CompileSpec jobs run by the harness) is byte-identical to the same table
+// computed by calling each registry compiler directly on the table's grids.
 func TestWrapperRegistryByteIdentical(t *testing.T) {
 	p, err := table2Plan(nil)
 	if err != nil {
@@ -25,8 +22,8 @@ func TestWrapperRegistryByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recompute every cell through the deprecated wrappers, in the plan's
-	// job order, filling exactly the fields the renderer reads.
+	// Recompute every cell by direct Compile calls, in the plan's job order,
+	// filling exactly the fields the renderer reads.
 	var manual []Measurement
 	for _, st := range table2Structures {
 		g := arch.MustNewGrid(st.Rows, st.Cols, st.Capacity)
@@ -35,10 +32,14 @@ func TestWrapperRegistryByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, algo := range []baseline.Algorithm{baseline.Murali, baseline.Dai, baseline.MQT} {
-				res, err := baseline.Compile(algo, c, g, baseline.Options{})
+			for _, name := range []string{"murali", "dai", "mqt", "mussti"} {
+				comp, err := core.LookupCompiler(name)
 				if err != nil {
-					t.Fatalf("%s/%s: %v", app, algo, err)
+					t.Fatal(err)
+				}
+				res, err := comp.Compile(context.Background(), c, g, nil)
+				if err != nil {
+					t.Fatalf("%s/%s: %v", app, name, err)
 				}
 				manual = append(manual, Measurement{
 					Shuttles: res.Metrics.Shuttles,
@@ -46,66 +47,18 @@ func TestWrapperRegistryByteIdentical(t *testing.T) {
 					Log10F:   res.Metrics.Fidelity.Log10(),
 				})
 			}
-			res, err := core.Compile(c, g.Device(), core.DefaultOptions())
-			if err != nil {
-				t.Fatalf("%s/mussti: %v", app, err)
-			}
-			manual = append(manual, Measurement{
-				Shuttles: res.Metrics.Shuttles,
-				TimeUS:   res.Metrics.MakespanUS,
-				Log10F:   res.Metrics.Fidelity.Log10(),
-			})
 		}
 	}
 	if len(manual) != len(ms) {
-		t.Fatalf("wrapper path produced %d measurements, registry plan %d", len(manual), len(ms))
+		t.Fatalf("direct calls produced %d measurements, plan %d", len(manual), len(ms))
 	}
-	viaWrappers, err := p.Render(&Results{ms: manual})
+	viaDirect, err := p.Render(&Results{ms: manual})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if viaRegistry != viaWrappers {
-		t.Errorf("registry and deprecated-wrapper table2 differ:\n--- registry ---\n%s--- wrappers ---\n%s",
-			viaRegistry, viaWrappers)
-	}
-}
-
-// TestLegacySpecsShareRegistryCacheKeys: a legacy MusstiSpec/BaselineSpec
-// job and the CompileSpec job describing the same point must share one cache
-// key, so experiments written against either API style dedupe against each
-// other in the measurement cache.
-func TestLegacySpecsShareRegistryCacheKeys(t *testing.T) {
-	opts := core.DefaultOptions()
-	pairs := []struct {
-		name             string
-		legacy, registry Job
-	}{
-		{
-			name:     "mussti-eml",
-			legacy:   Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: opts}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
-		},
-		{
-			name:     "mussti-grid",
-			legacy:   Job{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 12), Opts: opts}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12)}},
-		},
-		{
-			name:     "baseline-dai",
-			legacy:   Job{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: baseline.Dai, Rows: 2, Cols: 3, Capacity: 8}},
-			registry: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 3, 8)}},
-		},
-	}
-	for _, p := range pairs {
-		lk, ok1 := p.legacy.cacheKey()
-		rk, ok2 := p.registry.cacheKey()
-		if !ok1 || !ok2 {
-			t.Errorf("%s: uncacheable (legacy %v, registry %v)", p.name, ok1, ok2)
-			continue
-		}
-		if lk != rk {
-			t.Errorf("%s: keys differ across API styles:\nlegacy:   %s\nregistry: %s", p.name, lk, rk)
-		}
+	if viaRegistry != viaDirect {
+		t.Errorf("plan and direct-call table2 differ:\n--- plan ---\n%s--- direct ---\n%s",
+			viaRegistry, viaDirect)
 	}
 }
 
@@ -129,19 +82,19 @@ func TestCacheKeysStableAcrossProcesses(t *testing.T) {
 		want string
 	}{
 		{
-			job: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
+			job: Job{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti"}},
 			want: "mussti|GHZ_n32|emlcfg{Modules:0 TrapCapacity:0 StorageZones:0 OperationZones:0 " +
 				"OpticalZones:0 OpticalCapacity:0 MaxIonsPerModule:0 ZonePitchUM:0}|" +
 				"map=1 swap=true k=8 T=4 repl=0 nolook=false trace=false|" + physDefault,
 		},
 		{
-			job: Job{Spec: &CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
+			job: Job{Spec: CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
 			want: "dai|GHZ_n32|grid{2x2 cap=12 pitch=100}|" +
 				"map=0 swap=false k=0 T=0 repl=0 nolook=false trace=false|" + physZero,
 		},
 	}
 	for i, c := range cases {
-		got, ok := c.job.cacheKey()
+		got, ok := c.job.Spec.CacheKey()
 		if !ok {
 			t.Fatalf("case %d: not cacheable", i)
 		}
@@ -162,8 +115,8 @@ func TestExplicitDefaultArchSharesKey(t *testing.T) {
 	}
 	explicit := arch.DefaultConfig(c.NumQubits)
 	explicit.TrapCapacity = 16 // spelled out, but identical to the default
-	k1, ok1 := Job{Spec: &CompileSpec{App: "GHZ_n128", Compiler: "mussti", Arch: explicit}}.cacheKey()
-	k2, ok2 := Job{Spec: &CompileSpec{App: "GHZ_n128", Compiler: "mussti"}}.cacheKey()
+	k1, ok1 := CompileSpec{App: "GHZ_n128", Compiler: "mussti", Arch: explicit}.CacheKey()
+	k2, ok2 := CompileSpec{App: "GHZ_n128", Compiler: "mussti"}.CacheKey()
 	if !ok1 || !ok2 {
 		t.Fatalf("uncacheable (%v, %v)", ok1, ok2)
 	}
@@ -173,7 +126,7 @@ func TestExplicitDefaultArchSharesKey(t *testing.T) {
 	// A genuinely different config must still get its own key.
 	other := arch.DefaultConfig(c.NumQubits)
 	other.TrapCapacity = 12
-	k3, _ := Job{Spec: &CompileSpec{App: "GHZ_n128", Compiler: "mussti", Arch: other}}.cacheKey()
+	k3, _ := CompileSpec{App: "GHZ_n128", Compiler: "mussti", Arch: other}.CacheKey()
 	if k3 == k2 {
 		t.Errorf("non-default Arch collided with the default key %s", k3)
 	}

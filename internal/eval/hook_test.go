@@ -21,7 +21,7 @@ func TestRunnerJobHook(t *testing.T) {
 		outcomes = append(outcomes, o)
 		mu.Unlock()
 	})
-	job := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+	job := Job{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}}
 	for i := 0; i < 2; i++ {
 		if _, err := r.RunJob(context.Background(), job); err != nil {
 			t.Fatal(err)
@@ -30,7 +30,7 @@ func TestRunnerJobHook(t *testing.T) {
 	if len(outcomes) != 2 {
 		t.Fatalf("hook fired %d times, want 2", len(outcomes))
 	}
-	wantKey, ok := job.cacheKey()
+	wantKey, ok := job.Spec.CacheKey()
 	if !ok {
 		t.Fatal("job unexpectedly uncacheable")
 	}

@@ -212,19 +212,6 @@ func (mo *Memo) DoBatch(ctx context.Context, keys []string, batch func(need []in
 	return out, nil
 }
 
-// cacheKey renders a Job's full configuration as a deterministic string
-// key, or ok=false when the job must not be cached (trace-recording runs,
-// jobs that fail to resolve). All three spec styles normalise to the unified
-// CompileSpec first, so a legacy MusstiSpec job and a registry CompileSpec
-// job describing the same point share one cache entry.
-func (j Job) cacheKey() (key string, ok bool) {
-	s, err := j.Resolve()
-	if err != nil {
-		return "", false
-	}
-	return s.CacheKey()
-}
-
 // CacheKey is `compiler|app|target|config`, each part rendered
 // deterministically (see arch.Target.CacheKey and CompileConfig.CacheKey),
 // so keys are stable across processes — the property the shared on-disk

@@ -17,9 +17,9 @@ import (
 // compile exactly once, however many jobs request them.
 func TestMemoExactlyOnce(t *testing.T) {
 	same := func() Job {
-		return Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+		return Job{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}}
 	}
-	other := Job{Mussti: &MusstiSpec{App: "BV_n32", Opts: core.DefaultOptions()}}
+	other := Job{Spec: CompileSpec{App: "BV_n32", Compiler: "mussti", Config: core.NewCompileConfig()}}
 	r := NewRunner(4)
 	ms, err := r.Run(context.Background(), []Job{same(), same(), other, same()})
 	if err != nil {
@@ -46,8 +46,8 @@ func TestMemoExactlyOnce(t *testing.T) {
 func TestMemoSharedAcrossRuns(t *testing.T) {
 	jobs := func() []Job {
 		return []Job{
-			{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-			{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 12}},
+			{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}},
+			{Spec: CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 12)}},
 		}
 	}
 	r := NewRunner(2)
@@ -134,7 +134,7 @@ func TestMemoCancelledLeaderRetries(t *testing.T) {
 // served from cache like results, not recompiled per experiment.
 func TestMemoRealErrorsAreCached(t *testing.T) {
 	r := NewRunner(1)
-	bad := func() []Job { return []Job{{Mussti: &MusstiSpec{App: "Bogus_n1"}}} }
+	bad := func() []Job { return []Job{{Spec: CompileSpec{App: "Bogus_n1", Compiler: "mussti"}}} }
 	if _, err := r.Run(context.Background(), bad()); err == nil {
 		t.Fatal("bogus app accepted")
 	}
@@ -149,22 +149,22 @@ func TestMemoRealErrorsAreCached(t *testing.T) {
 // TestCacheKeysDistinguishConfigs: nearby-but-different specs must never
 // collide on one cache key.
 func TestCacheKeysDistinguishConfigs(t *testing.T) {
-	optsK4 := core.DefaultOptions()
+	optsK4 := *core.NewCompileConfig()
 	optsK4.LookAhead = 4
 	specs := []Job{
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n64", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: optsK4}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 12), Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 3, 12), Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Grid: arch.MustNewGrid(2, 2, 8), Opts: core.DefaultOptions()}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 12}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 1, Rows: 2, Cols: 2, Capacity: 12}},
-		{Baseline: &BaselineSpec{App: "GHZ_n32", Algorithm: 0, Rows: 2, Cols: 2, Capacity: 8}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "GHZ_n64", Compiler: "mussti", Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &optsK4}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 12), Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 3, 12), Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Grid: arch.MustNewGrid(2, 2, 8), Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "dai", Grid: arch.MustNewGrid(2, 2, 12)}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "murali", Grid: arch.MustNewGrid(2, 2, 8)}},
 	}
 	seen := make(map[string]int)
 	for i, j := range specs {
-		key, ok := j.cacheKey()
+		key, ok := j.Spec.CacheKey()
 		if !ok {
 			t.Fatalf("spec %d not cacheable", i)
 		}
@@ -174,8 +174,8 @@ func TestCacheKeysDistinguishConfigs(t *testing.T) {
 		seen[key] = i
 	}
 	// An identical respec must reproduce the key.
-	a, _ := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
-	b, _ := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
+	a, _ := CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}.CacheKey()
+	b, _ := CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}.CacheKey()
 	if a != b {
 		t.Errorf("identical specs produced different keys:\n%s\n%s", a, b)
 	}
@@ -185,15 +185,15 @@ func TestCacheKeysDistinguishConfigs(t *testing.T) {
 // point of existence is the per-run trace the Measurement drops), while an
 // Observer never affects cacheability (observation changes no measurement).
 func TestTraceJobsBypassCache(t *testing.T) {
-	traced := core.DefaultOptions()
+	traced := *core.NewCompileConfig()
 	traced.Trace = true
-	if _, ok := (Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: traced}}).cacheKey(); ok {
+	if _, ok := (CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &traced}).CacheKey(); ok {
 		t.Error("trace-recording mussti job was cacheable")
 	}
-	observed := core.DefaultOptions()
+	observed := *core.NewCompileConfig()
 	observed.Observer = &nopObsForTest{}
-	plainKey, ok1 := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}.cacheKey()
-	obsKey, ok2 := Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: observed}}.cacheKey()
+	plainKey, ok1 := CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}.CacheKey()
+	obsKey, ok2 := CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: &observed}.CacheKey()
 	if !ok1 || !ok2 || plainKey != obsKey {
 		t.Errorf("observer changed cacheability or key: %v %v\n%s\n%s", ok1, ok2, plainKey, obsKey)
 	}
@@ -311,10 +311,10 @@ func TestCancelledRunLeavesNoGoroutines(t *testing.T) {
 	r.DisableCache() // identical jobs would otherwise collapse and finish early
 	jobs := make([]Job, 200)
 	for i := range jobs {
-		opts := core.DefaultOptions()
+		opts := *core.NewCompileConfig()
 		// The first job to execute a gate cancels the whole run in flight.
 		opts.Observer = cancelOnGate{cancel: cancel, after: 1}
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "GHZ_n64", Opts: opts}}
+		jobs[i] = Job{Spec: CompileSpec{App: "GHZ_n64", Compiler: "mussti", Config: &opts}}
 	}
 	if _, err := r.Run(ctx, jobs); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -345,9 +345,9 @@ func TestRunnerPassesContextMidCompile(t *testing.T) {
 	// is only possible if the runner handed its ctx into the compiler and
 	// the scheduler checks it mid-run — the capability PR 1 lacked (it only
 	// stopped between measurements).
-	opts := core.DefaultOptions()
+	opts := *core.NewCompileConfig()
 	opts.Observer = cancelOnGate{cancel: cancel, after: 10}
-	jobs := []Job{{Mussti: &MusstiSpec{App: "SQRT_n117", Opts: opts}}}
+	jobs := []Job{{Spec: CompileSpec{App: "SQRT_n117", Compiler: "mussti", Config: &opts}}}
 	start := time.Now()
 	_, err := r.Run(ctx, jobs)
 	if !errors.Is(err, context.Canceled) {

@@ -98,10 +98,4 @@ func (p *jobProgress) finish(cached bool) {
 
 // label names a job for progress lines, e.g. "SQRT_n299/MUSS-TI". The
 // compiler part is the registry compiler's display label.
-func (j Job) label() string {
-	s, err := j.Resolve()
-	if err != nil {
-		return "empty-job"
-	}
-	return s.App + "/" + labelFor(s.Compiler)
-}
+func (j Job) label() string { return j.Spec.App + "/" + labelFor(j.Spec.Compiler) }

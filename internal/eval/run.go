@@ -15,14 +15,12 @@
 package eval
 
 import (
-	"context"
 	"fmt"
 	"time"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
+	_ "mussti/internal/baseline" // registers "murali", "dai" and "mqt"
 	"mussti/internal/circuit"
-	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
 	"mussti/internal/physics"
 )
@@ -85,41 +83,10 @@ func (s CompileSpec) config(c core.Compiler) core.CompileConfig {
 	return core.DefaultConfigFor(c)
 }
 
-// RunSpec compiles one measurement point through the compiler registry. It
-// is RunSpecContext with a background context.
-func RunSpec(spec CompileSpec) (Measurement, error) {
-	return RunSpecContext(context.Background(), spec)
-}
-
-// RunSpecContext resolves spec.Compiler in the registry, builds the target
-// machine, compiles, and packages the metrics as a Measurement whose
-// Compiler column carries the compiler's display label. ctx aborts the
-// compile mid-flight within one scheduler step.
-func RunSpecContext(ctx context.Context, spec CompileSpec) (Measurement, error) {
-	comp, err := core.LookupCompiler(spec.Compiler)
-	if err != nil {
-		return Measurement{}, err
-	}
-	c, err := bench.ByName(spec.App)
-	if err != nil {
-		return Measurement{}, err
-	}
-	target, err := spec.target(c.NumQubits)
-	if err != nil {
-		return Measurement{}, err
-	}
-	cfg := spec.config(comp)
-	res, err := comp.Compile(ctx, c, target, &cfg)
-	if err != nil {
-		return Measurement{}, fmt.Errorf("eval: %s/%s: %w", spec.App, spec.Compiler, err)
-	}
-	return MeasurementOf(spec.App, comp, c, res), nil
-}
-
 // MeasurementOf packages one compile Result as a Measurement row under the
 // given application name — the single conversion every harness path uses
-// (RunSpecContext, the batch path runBatchUnit, and the compilation
-// service's ad-hoc QASM circuits), so they can never drift.
+// (Job.run, the batch path runBatchUnit, and the compilation service's
+// ad-hoc QASM circuits), so they can never drift.
 func MeasurementOf(app string, comp core.Compiler, c *circuit.Circuit, res *core.Result) Measurement {
 	st := c.Stats()
 	m := res.Metrics
@@ -137,92 +104,6 @@ func MeasurementOf(app string, comp core.Compiler, c *circuit.Circuit, res *core
 		Log10F:        m.Fidelity.Log10(),
 		CompileTime:   res.CompileTime,
 	}
-}
-
-// MusstiSpec describes a MUSS-TI run: either on an EML-QCCD device built
-// from Config (the default), or directly on a standard QCCD grid when Grid
-// is set (Table 2 / Fig. 6 small scale apply MUSS-TI "on these standard
-// QCCD structures").
-//
-// Deprecated: MusstiSpec is the pre-registry spec; it is converted to a
-// CompileSpec with Compiler "mussti" internally. New code should build a
-// CompileSpec.
-type MusstiSpec struct {
-	App    string
-	Config arch.Config
-	Grid   *arch.Grid
-	Opts   core.Options
-}
-
-// spec lifts the legacy MUSS-TI spec into the unified CompileSpec. The
-// legacy sentinel — any Config with Modules == 0 meant "the paper default",
-// other fields ignored — is normalised to the zero Arch so legacy callers
-// keep their documented behaviour (and their cache keys coincide with the
-// equivalent zero-Arch registry specs).
-func (s MusstiSpec) spec() CompileSpec {
-	opts := s.Opts
-	cfg := s.Config
-	if cfg.Modules == 0 {
-		cfg = arch.Config{}
-	}
-	return CompileSpec{App: s.App, Compiler: "mussti", Grid: s.Grid, Arch: cfg, Config: &opts}
-}
-
-// RunMussti compiles one application with MUSS-TI and packages the metrics.
-// It is RunMusstiContext with a background context.
-func RunMussti(spec MusstiSpec) (Measurement, error) {
-	return RunMusstiContext(context.Background(), spec)
-}
-
-// RunMusstiContext is RunMussti with cooperative cancellation: ctx aborts
-// the compile mid-flight within one scheduler step.
-func RunMusstiContext(ctx context.Context, spec MusstiSpec) (Measurement, error) {
-	return RunSpecContext(ctx, spec.spec())
-}
-
-// BaselineSpec describes a baseline run on the monolithic grid.
-//
-// Deprecated: BaselineSpec is the pre-registry spec; it is converted to a
-// CompileSpec named after the algorithm internally. New code should build a
-// CompileSpec.
-type BaselineSpec struct {
-	App       string
-	Algorithm baseline.Algorithm
-	Rows      int
-	Cols      int
-	Capacity  int
-	Opts      baseline.Options
-}
-
-// spec lifts the legacy baseline spec into the unified CompileSpec. The
-// grid construction can fail (that was RunBaseline's error path), so unlike
-// MusstiSpec.spec this returns an error.
-func (s BaselineSpec) spec() (CompileSpec, error) {
-	name := s.Algorithm.RegistryName()
-	if name == "" {
-		return CompileSpec{}, fmt.Errorf("eval: unknown baseline algorithm %d", s.Algorithm)
-	}
-	g, err := arch.NewGrid(s.Rows, s.Cols, s.Capacity)
-	if err != nil {
-		return CompileSpec{}, err
-	}
-	cfg := s.Opts.Config()
-	return CompileSpec{App: s.App, Compiler: name, Grid: g, Config: &cfg}, nil
-}
-
-// RunBaseline compiles one application with a grid baseline. It is
-// RunBaselineContext with a background context.
-func RunBaseline(spec BaselineSpec) (Measurement, error) {
-	return RunBaselineContext(context.Background(), spec)
-}
-
-// RunBaselineContext is RunBaseline with cooperative cancellation.
-func RunBaselineContext(ctx context.Context, spec BaselineSpec) (Measurement, error) {
-	s, err := spec.spec()
-	if err != nil {
-		return Measurement{}, err
-	}
-	return RunSpecContext(ctx, s)
 }
 
 // emlConfig builds the EML-QCCD configuration MUSS-TI uses when the paper

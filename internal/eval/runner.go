@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
 	"mussti/internal/pool"
 )
@@ -28,45 +29,40 @@ import (
 // measurement points across experiments through a shared Memo, and can
 // attach per-job progress observers.
 
-// Job is one independent measurement: a registry-resolved Spec, or one of
-// the deprecated Mussti/Baseline spec types (converted internally). Exactly
-// one of the three is set. Jobs share no mutable state, so any number may
-// run concurrently.
+// Job is one independent measurement, described by its registry-resolved
+// Spec. Jobs share no mutable state, so any number may run concurrently.
 type Job struct {
-	Spec *CompileSpec
-	// Deprecated: Mussti/Baseline are the pre-registry spec types; set Spec
-	// in new code.
-	Mussti   *MusstiSpec
-	Baseline *BaselineSpec
+	Spec CompileSpec
 }
 
-// Resolve normalises the job to the unified CompileSpec, whichever spec
-// style built it. Every consumer — execution, cache keys, progress labels,
-// the wire codecs of internal/dist — goes through this one conversion, so
-// the three spec styles cannot drift: a legacy MusstiSpec/BaselineSpec job
-// crosses process boundaries as the same envelope its registry-style
-// equivalent would.
-func (j Job) Resolve() (CompileSpec, error) {
-	switch {
-	case j.Spec != nil:
-		return *j.Spec, nil
-	case j.Mussti != nil:
-		return j.Mussti.spec(), nil
-	case j.Baseline != nil:
-		return j.Baseline.spec()
-	default:
-		return CompileSpec{}, fmt.Errorf("eval: empty job")
-	}
-}
+// Resolve returns the job's spec; the error is always nil. Code in this
+// module reads j.Spec directly.
+func (j Job) Resolve() (CompileSpec, error) { return j.Spec, nil }
 
-// run executes the measurement this job describes. ctx cancellation aborts
-// the compile within one scheduler step.
+// run resolves the spec's compiler in the registry, builds the target
+// machine, compiles, and packages the metrics as a Measurement whose
+// Compiler column carries the compiler's display label. ctx cancellation
+// aborts the compile within one scheduler step.
 func (j Job) run(ctx context.Context) (Measurement, error) {
-	s, err := j.Resolve()
+	s := j.Spec
+	comp, err := core.LookupCompiler(s.Compiler)
 	if err != nil {
 		return Measurement{}, err
 	}
-	return RunSpecContext(ctx, s)
+	c, err := bench.ByName(s.App)
+	if err != nil {
+		return Measurement{}, err
+	}
+	target, err := s.target(c.NumQubits)
+	if err != nil {
+		return Measurement{}, err
+	}
+	cfg := s.config(comp)
+	res, err := comp.Compile(ctx, c, target, &cfg)
+	if err != nil {
+		return Measurement{}, fmt.Errorf("eval: %s/%s: %w", s.App, s.Compiler, err)
+	}
+	return MeasurementOf(s.App, comp, c, res), nil
 }
 
 // WithObserver returns a copy of the job with obs attached to its compile
@@ -74,23 +70,17 @@ func (j Job) run(ctx context.Context) (Measurement, error) {
 // hangs on. The original job (and its spec) stays untouched, and the cache
 // key is unaffected: Observer is excluded from CompileConfig.CacheKey, so an
 // observed request still coalesces with (and is served by) unobserved ones.
-// Jobs that fail to resolve are returned unchanged — the error surfaces when
-// the job runs.
 func (j Job) WithObserver(obs core.Observer) Job {
-	s, err := j.Resolve()
-	if err != nil {
-		return j
-	}
 	var cfg core.CompileConfig
-	if comp, err := core.LookupCompiler(s.Compiler); err == nil {
+	if comp, err := core.LookupCompiler(j.Spec.Compiler); err == nil {
 		// One owner for the nil-Config resolution rule: CompileSpec.config.
-		cfg = s.config(comp)
-	} else if s.Config != nil {
-		cfg = *s.Config
+		cfg = j.Spec.config(comp)
+	} else if j.Spec.Config != nil {
+		cfg = *j.Spec.Config
 	}
 	cfg.Observer = obs
-	s.Config = &cfg
-	return Job{Spec: &s}
+	j.Spec.Config = &cfg
+	return j
 }
 
 // Plan is a decomposed experiment: the measurement jobs in deterministic
@@ -403,7 +393,7 @@ func (r *Runner) runJob(ctx context.Context, j Job) (Measurement, error) {
 	if r.remote != nil {
 		run = func(ctx context.Context) (Measurement, error) { return r.remote.RunJob(ctx, j) }
 	}
-	key, _ := j.cacheKey()
+	key, _ := j.Spec.CacheKey()
 	m, cached, err := r.memoized(ctx, key, run)
 	if prog != nil && err == nil {
 		prog.finish(cached)

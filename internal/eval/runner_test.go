@@ -43,7 +43,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 func ghzJobs(n int) []Job {
 	jobs := make([]Job, n)
 	for i := range jobs {
-		jobs[i] = Job{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}}
+		jobs[i] = Job{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}}
 	}
 	return jobs
 }
@@ -93,7 +93,7 @@ func TestRunnerCancelledMidRun(t *testing.T) {
 	r.DisableCache()
 	jobs := make([]Job, cancelledRunJobs)
 	for i := range jobs {
-		jobs[i] = Job{Spec: &CompileSpec{App: "GHZ_n4", Compiler: blockCompiler.Name()}}
+		jobs[i] = Job{Spec: CompileSpec{App: "GHZ_n4", Compiler: blockCompiler.Name()}}
 	}
 	go func() {
 		<-blockCompiler.started
@@ -124,9 +124,9 @@ func TestRunnerFirstErrorInJobOrder(t *testing.T) {
 	// count, because workers claim jobs in index order and a claimed job
 	// always runs to completion.
 	jobs := []Job{
-		{Mussti: &MusstiSpec{App: "GHZ_n32", Opts: core.DefaultOptions()}},
-		{Mussti: &MusstiSpec{App: "Bogus_n1"}},
-		{Mussti: &MusstiSpec{App: "AlsoBogus_n1"}},
+		{Spec: CompileSpec{App: "GHZ_n32", Compiler: "mussti", Config: core.NewCompileConfig()}},
+		{Spec: CompileSpec{App: "Bogus_n1", Compiler: "mussti", Config: &core.CompileConfig{}}},
+		{Spec: CompileSpec{App: "AlsoBogus_n1", Compiler: "mussti", Config: &core.CompileConfig{}}},
 	}
 	_, seqErr := (*Runner)(nil).Run(context.Background(), jobs)
 	if seqErr == nil || !strings.Contains(seqErr.Error(), `"bogus"`) {

@@ -213,7 +213,7 @@ func (s *Server) resolveApp(req *compileRequest, name string, comp core.Compiler
 		label: req.App + "/" + name,
 		key:   key,
 		run: func(ctx context.Context, obs core.Observer) (eval.Measurement, error) {
-			j := eval.Job{Spec: &spec}
+			j := eval.Job{Spec: spec}
 			if obs != nil {
 				j = j.WithObserver(obs)
 			}

@@ -85,7 +85,8 @@ type Engine struct {
 	// evaluate, so every op adds bit-identical factors with no math.Log:
 	// the chain swap, split and merge shuttle primitives, the intrinsic
 	// one-qubit and fiber gates, and the intrinsic two-qubit gate indexed
-	// by chain length (0 … the largest zone capacity).
+	// by chain length (0 … the largest zone capacity, capped at the qubit
+	// count: a chain never holds more ions than the program has qubits).
 	swapLogF, splitLogF, mergeLogF float64
 	gate1LogF, fiberLogF           float64
 	gate2LogF                      []float64
@@ -109,7 +110,7 @@ func NewEngine(zones []ZoneInfo, n int, p physics.Params) *Engine {
 	for _, z := range zones {
 		maxCap = max(maxCap, z.Capacity)
 	}
-	gate2 := make([]float64, maxCap+1)
+	gate2 := make([]float64, min(maxCap, n)+1)
 	for l := range gate2 {
 		gate2[l] = math.Log(p.Gate2Fidelity(l))
 	}

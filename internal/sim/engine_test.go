@@ -362,6 +362,16 @@ func TestPropertyShuttleCountMatchesMoves(t *testing.T) {
 	}
 }
 
+// TestGate2TableCappedByQubits: a zone far larger than the program sizes
+// the two-qubit ln F table by the qubit count, not by the zone — a chain
+// never holds more ions than there are qubits.
+func TestGate2TableCappedByQubits(t *testing.T) {
+	e := NewEngine([]ZoneInfo{{Capacity: 10_000_000, GateCapable: true}}, 2, physics.Default())
+	if len(e.gate2LogF) != 3 {
+		t.Errorf("gate2 table has %d entries for 2 qubits, want 3", len(e.gate2LogF))
+	}
+}
+
 // TestPrecomputedLogFMatchParams pins the engine's per-op ln F constants
 // to the physics.Params methods they replace, bit for bit, for every model
 // switch and every chain length up to the largest zone capacity (170 ions
@@ -377,7 +387,7 @@ func TestPrecomputedLogFMatchParams(t *testing.T) {
 		p    physics.Params
 	}{{"default", physics.Default()}, {"perfect shuttle", shuttle}, {"perfect gates", gates}} {
 		name, p := m.name, m.p
-		e := NewEngine(zones, 1, p)
+		e := NewEngine(zones, 170, p)
 		for _, c := range []struct {
 			op        string
 			got, want float64

@@ -31,9 +31,7 @@
 //
 // Out-of-tree compilers join through RegisterCompiler and automatically
 // appear in every experiment, the measurement cache and CSV output of the
-// harness. The pre-registry entry points (Compile, CompileContext,
-// CompileBaseline, CompileBaselineContext) remain as deprecated wrappers
-// with unchanged behaviour.
+// harness.
 //
 // The package re-exports the stable parts of the internal packages:
 // circuit construction (Circuit, Gate), benchmark generators, EML-QCCD and
@@ -46,7 +44,6 @@ import (
 	"io"
 
 	"mussti/internal/arch"
-	"mussti/internal/baseline"
 	"mussti/internal/circuit"
 	"mussti/internal/circuit/bench"
 	"mussti/internal/core"
@@ -181,10 +178,6 @@ type (
 	// experiment mid-run. Compile must still reject unsupported targets
 	// itself; this is advisory.
 	TargetSupporter = core.TargetSupporter
-	// Options configures a MUSS-TI compilation.
-	//
-	// Deprecated: Options is the pre-registry name of CompileConfig.
-	Options = core.Options
 	// ReplacementPolicy selects the conflict-handling victim policy.
 	ReplacementPolicy = core.ReplacementPolicy
 	// Result is a compilation outcome (metrics + mappings + trace), shared
@@ -267,34 +260,10 @@ const (
 	ReplaceBelady = core.ReplaceBelady
 )
 
-// DefaultOptions is the paper's headline configuration: SABRE mapping plus
-// SWAP insertion with k=8 and T=4.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// Compile schedules a circuit onto an EML-QCCD device with MUSS-TI.
-//
-// Deprecated: resolve the compiler through the registry instead —
-// LookupCompiler("mussti") then Compile(ctx, c, dev, cfg). This wrapper's
-// behaviour is unchanged.
-func Compile(c *Circuit, d *Device, opts Options) (*Result, error) {
-	return core.Compile(c, d, opts)
-}
-
-// CompileContext is Compile with cooperative cancellation: the scheduling
-// loops check ctx at every frontier step, so a cancelled or expired context
-// aborts a long compile within one scheduler step and surfaces ctx.Err().
-//
-// Deprecated: resolve the compiler through the registry instead —
-// LookupCompiler("mussti") then Compile(ctx, c, dev, cfg). This wrapper's
-// behaviour is unchanged.
-func CompileContext(ctx context.Context, c *Circuit, d *Device, opts Options) (*Result, error) {
-	return core.CompileContext(ctx, c, d, opts)
-}
-
 // Observer receives per-step progress callbacks (gates scheduled, shuttles,
 // evictions, inserted SWAPs) from a running compilation — MUSS-TI or
-// baseline. Attach one via Options.Observer / BaselineOptions.Observer; it
-// never changes the schedule.
+// baseline. Attach one with WithObserver (CompileConfig.Observer); it never
+// changes the schedule.
 type Observer = core.Observer
 
 // Batch compilation: many (target, config) variants of one circuit share
@@ -345,46 +314,6 @@ func WriteScheduleJSON(w io.Writer, numQubits int, trace []ScheduleOp) error {
 // ReadScheduleJSON loads a schedule written by WriteScheduleJSON.
 func ReadScheduleJSON(r io.Reader) (numQubits int, trace []ScheduleOp, err error) {
 	return sim.ReadScheduleJSON(r)
-}
-
-// Baseline compilers (the paper's comparison points).
-type (
-	BaselineAlgorithm = baseline.Algorithm
-	// BaselineOptions configures a baseline run.
-	//
-	// Deprecated: the registry path takes the shared CompileConfig; the
-	// baselines read its Params, LookAhead, Trace and Observer fields.
-	BaselineOptions = baseline.Options
-	// BaselineResult is the outcome of a baseline compilation — now the
-	// same type as Result, so harnesses handle one result shape.
-	BaselineResult = baseline.Result
-)
-
-// Baseline algorithm identifiers.
-const (
-	BaselineMurali = baseline.Murali // ISCA 2020 greedy QCCD compiler [55]
-	BaselineDai    = baseline.Dai    // advanced shuttle strategies [13]
-	BaselineMQT    = baseline.MQT    // MQT dedicated-zone shuttling [70]
-)
-
-// CompileBaseline schedules a circuit onto a monolithic grid with one of
-// the baseline compilers.
-//
-// Deprecated: resolve the compiler through the registry instead —
-// LookupCompiler("murali"/"dai"/"mqt") then Compile(ctx, c, grid, cfg).
-// This wrapper's behaviour is unchanged.
-func CompileBaseline(algo BaselineAlgorithm, c *Circuit, g *Grid, opts BaselineOptions) (*BaselineResult, error) {
-	return baseline.Compile(algo, c, g, opts)
-}
-
-// CompileBaselineContext is CompileBaseline with cooperative cancellation,
-// mirroring CompileContext.
-//
-// Deprecated: resolve the compiler through the registry instead —
-// LookupCompiler("murali"/"dai"/"mqt") then Compile(ctx, c, grid, cfg).
-// This wrapper's behaviour is unchanged.
-func CompileBaselineContext(ctx context.Context, algo BaselineAlgorithm, c *Circuit, g *Grid, opts BaselineOptions) (*BaselineResult, error) {
-	return baseline.CompileContext(ctx, algo, c, g, opts)
 }
 
 // Experiment harness: regenerate the paper's tables and figures.

@@ -10,10 +10,20 @@ import (
 	"mussti"
 )
 
+// compile runs the registered compiler name with cfg (nil = its defaults).
+func compile(t *testing.T, ctx context.Context, name string, c *mussti.Circuit, target mussti.Target, cfg *mussti.CompileConfig) (*mussti.Result, error) {
+	t.Helper()
+	comp, err := mussti.LookupCompiler(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Compile(ctx, c, target, cfg)
+}
+
 func TestPublicQuickstartFlow(t *testing.T) {
 	c := mussti.Benchmark("QFT_n32")
 	dev := mussti.NewDevice(mussti.DeviceConfigFor(c.NumQubits))
-	res, err := mussti.Compile(c, dev, mussti.DefaultOptions())
+	res, err := compile(t, context.Background(), "mussti", c, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +42,7 @@ func TestPublicCircuitConstruction(t *testing.T) {
 	c.Measure(0)
 	c.Measure(1)
 	dev := mussti.NewDevice(mussti.DeviceConfigFor(2))
-	res, err := mussti.Compile(c, dev, mussti.DefaultOptions())
+	res, err := compile(t, context.Background(), "mussti", c, dev, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,8 +68,8 @@ func TestPublicBaselines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, algo := range []mussti.BaselineAlgorithm{mussti.BaselineMurali, mussti.BaselineDai, mussti.BaselineMQT} {
-		res, err := mussti.CompileBaseline(algo, c, g, mussti.BaselineOptions{})
+	for _, algo := range []string{"murali", "dai", "mqt"} {
+		res, err := compile(t, context.Background(), algo, c, g, nil)
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
@@ -142,14 +152,12 @@ func TestPublicCompileContextAndObserver(t *testing.T) {
 
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := mussti.CompileContext(cancelled, c, dev, mussti.DefaultOptions()); !errors.Is(err, context.Canceled) {
+	if _, err := compile(t, cancelled, "mussti", c, dev, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 
 	obs := &tickObserver{}
-	opts := mussti.DefaultOptions()
-	opts.Observer = obs
-	if _, err := mussti.CompileContext(context.Background(), c, dev, opts); err != nil {
+	if _, err := compile(t, context.Background(), "mussti", c, dev, mussti.NewCompileConfig(mussti.WithObserver(obs))); err != nil {
 		t.Fatal(err)
 	}
 	if obs.gates == 0 {
@@ -160,7 +168,7 @@ func TestPublicCompileContextAndObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mussti.CompileBaselineContext(cancelled, mussti.BaselineDai, c, g, mussti.BaselineOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := compile(t, cancelled, "dai", c, g, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("baseline err = %v, want context.Canceled", err)
 	}
 }
