@@ -17,7 +17,10 @@ package arch
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+
+	"mussti/internal/circuit"
 )
 
 // Level classifies a zone's role, ordered like the memory hierarchy the
@@ -61,9 +64,11 @@ type Zone struct {
 	Level Level
 	// Capacity is the trap capacity (maximum chain length).
 	Capacity int
-	// Pos is the zone's position along its module's linear segment, used
-	// for shuttle distances (segment order: storage…, operation, optical).
-	Pos int
+	// Pos and Row place the zone in its module for shuttle distances. On
+	// an EML-QCCD segment Pos is the position along the line (segment
+	// order: storage…, operation, optical) and Row is 0; on a grid-adapted
+	// device Pos is the trap's column and Row its row.
+	Pos, Row int
 }
 
 // Module is one QCCD unit of the EML device.
@@ -76,7 +81,9 @@ type Module struct {
 	MaxIons int
 }
 
-// Device is an entanglement-module-linked QCCD machine.
+// Device is an entanglement-module-linked QCCD machine. Its geometry is
+// the zones' coordinates: a shuttle distance is a hop count worked out from
+// them, so the device stores nothing per zone pair.
 type Device struct {
 	Zones   []Zone
 	Modules []Module
@@ -85,30 +92,11 @@ type Device struct {
 	// ZonePitchUM is the physical distance between adjacent zones of a
 	// module in micrometres; shuttle Move time is distance / speed.
 	ZonePitchUM float64
-	// DistUM, when non-nil, overrides the linear-segment distance between
-	// two same-module zones (used by the grid adapter, whose traps live on
-	// a lattice rather than a segment). IntraDistanceUM reads distances
-	// from the matrix PrecomputeDistances froze, not from this closure —
-	// set DistUM before building the matrix (as Grid.Device does), or call
-	// PrecomputeDistances again after changing it; mutating only DistUM on
-	// an already-built device would silently keep the old geometry.
-	DistUM func(a, b int) float64
-	// DistKey identifies the DistUM geometry in CacheKey: a function value
-	// cannot be rendered, so builders that set DistUM should set DistKey to
-	// a deterministic description of the geometry (the grid adapter uses
-	// the source grid's CacheKey). When left empty, CacheKey digests the
-	// full intra-module distance matrix instead — correct, but O(zones²)
-	// calls into DistUM per CacheKey call.
-	DistKey string
 
-	// dist is the flattened NZ×NZ intra-module zone-distance matrix filled
-	// by PrecomputeDistances (negative entries mark cross-module pairs).
-	// IntraDistanceUM answers from it in O(1); when nil — a hand-assembled
-	// Device literal — it falls back to computing per call.
-	dist []float64
 	// byLevel[m*numLevels+l] lists module m's zones at level l in segment
-	// order, filled by PrecomputeDistances. ZonesByLevel answers from it
-	// without allocating; when nil it falls back to a per-call scan.
+	// order, filled by indexLevels. ZonesByLevel answers from it without
+	// allocating; when nil (a hand-assembled Device literal) it falls back
+	// to a per-call scan.
 	byLevel [][]int
 }
 
@@ -168,20 +156,51 @@ func ModulesFor(n int) int {
 	return 4 * blocks
 }
 
-// New builds a Device from a Config. It returns an error when the machine
-// cannot be assembled coherently (no gate-capable zone, zero capacity...).
+// MaxZones caps the zone count of every device: Modules × zones per module
+// for an EML-QCCD build, Rows × Cols for a grid. The paper's default
+// configuration at circuit.MaxQubits qubits uses 128 zones.
+const MaxZones = 4 * circuit.MaxQubits
+
+// Validate reports whether New can assemble the configuration: at least one
+// module, a gate-capable zone in each, at most MaxZones zones, and chains of
+// 2 to circuit.MaxQubits ions (a chain never holds more ions than the
+// program has qubits). Each factor is bounded before the zone count is
+// formed, so the product cannot overflow.
+func (cfg Config) Validate() error {
+	perModule := []int{cfg.StorageZones, cfg.OperationZones, cfg.OpticalZones}
+	switch {
+	case cfg.Modules <= 0:
+		return fmt.Errorf("arch: need at least one module, got %d", cfg.Modules)
+	case slices.Min(perModule) < 0:
+		return fmt.Errorf("arch: negative zone count")
+	case cfg.OperationZones+cfg.OpticalZones == 0:
+		return fmt.Errorf("arch: module has no gate-capable zone")
+	case max(cfg.Modules, slices.Max(perModule)) > MaxZones ||
+		cfg.Modules*(cfg.StorageZones+cfg.OperationZones+cfg.OpticalZones) > MaxZones:
+		return fmt.Errorf("arch: %d modules × %v zones exceeds the %d-zone cap", cfg.Modules, perModule, MaxZones)
+	}
+	if err := checkCapacity("trap", cfg.TrapCapacity); err != nil {
+		return err
+	}
+	if cfg.OpticalCapacity > 0 {
+		return checkCapacity("optical", cfg.OpticalCapacity)
+	}
+	return nil
+}
+
+// checkCapacity bounds one chain capacity to [2, circuit.MaxQubits].
+func checkCapacity(what string, capacity int) error {
+	if capacity < 2 || capacity > circuit.MaxQubits {
+		return fmt.Errorf("arch: %s capacity must be in [2, %d], got %d", what, circuit.MaxQubits, capacity)
+	}
+	return nil
+}
+
+// New builds a Device from a Config. It returns Validate's error when the
+// machine cannot be assembled coherently or exceeds a cap.
 func New(cfg Config) (*Device, error) {
-	if cfg.Modules <= 0 {
-		return nil, fmt.Errorf("arch: need at least one module, got %d", cfg.Modules)
-	}
-	if cfg.TrapCapacity < 2 {
-		return nil, fmt.Errorf("arch: trap capacity must be ≥2 for two-qubit gates, got %d", cfg.TrapCapacity)
-	}
-	if cfg.OperationZones+cfg.OpticalZones <= 0 {
-		return nil, fmt.Errorf("arch: module has no gate-capable zone")
-	}
-	if cfg.StorageZones < 0 || cfg.OperationZones < 0 || cfg.OpticalZones < 0 {
-		return nil, fmt.Errorf("arch: negative zone count")
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	pitch := cfg.ZonePitchUM
 	if pitch <= 0 {
@@ -190,9 +209,6 @@ func New(cfg Config) (*Device, error) {
 	optCap := cfg.OpticalCapacity
 	if optCap <= 0 || optCap > cfg.TrapCapacity {
 		optCap = cfg.TrapCapacity
-	}
-	if optCap < 2 {
-		return nil, fmt.Errorf("arch: optical capacity must be ≥2, got %d", optCap)
 	}
 	d := &Device{TrapCapacity: cfg.TrapCapacity, ZonePitchUM: pitch}
 	for m := 0; m < cfg.Modules; m++ {
@@ -223,30 +239,13 @@ func New(cfg Config) (*Device, error) {
 		}
 		d.Modules = append(d.Modules, mod)
 	}
-	d.PrecomputeDistances()
+	d.indexLevels()
 	return d, nil
 }
 
-// PrecomputeDistances builds the intra-module zone-distance matrix behind
-// IntraDistanceUM and the per-(module, level) zone lists behind
-// ZonesByLevel, turning every later query into an array read. New and
-// Grid.Device call it automatically; builders that assemble a Device
-// literally (or mutate zones or geometry afterwards) may call it themselves
-// — or not, in which case both are computed per call as before.
-func (d *Device) PrecomputeDistances() {
-	nz := len(d.Zones)
-	dist := make([]float64, nz*nz)
-	for i := range dist {
-		dist[i] = -1 // cross-module sentinel; overwritten for legal pairs
-	}
-	for _, m := range d.Modules {
-		for _, a := range m.Zones {
-			for _, b := range m.Zones {
-				dist[a*nz+b] = d.intraDistanceSlow(a, b)
-			}
-		}
-	}
-	d.dist = dist
+// indexLevels fills the per-(module, level) zone lists behind
+// ZonesByLevel. New and Grid.Device call it.
+func (d *Device) indexLevels() {
 	byLevel := make([][]int, len(d.Modules)*numLevels)
 	for m := range d.Modules {
 		for l := range numLevels {
@@ -254,22 +253,6 @@ func (d *Device) PrecomputeDistances() {
 		}
 	}
 	d.byLevel = byLevel
-}
-
-// intraDistanceSlow computes one intra-module distance from first
-// principles: the builder-supplied DistUM geometry when set, the linear
-// zone-segment pitch otherwise. PrecomputeDistances evaluates it once per
-// same-module zone pair; IntraDistanceUM uses it only on matrix-less
-// devices.
-func (d *Device) intraDistanceSlow(a, b int) float64 {
-	if d.DistUM != nil {
-		return d.DistUM(a, b)
-	}
-	diff := d.Zones[a].Pos - d.Zones[b].Pos
-	if diff < 0 {
-		diff = -diff
-	}
-	return float64(diff) * d.ZonePitchUM
 }
 
 // MustNew is New for known-good configurations; it panics on error.
@@ -317,7 +300,7 @@ func (d *Device) ZonesByLevel(m int, level Level) []int {
 }
 
 // zonesByLevelSlow scans module m's zones for the given level; it fills
-// PrecomputeDistances' table and serves devices without one.
+// indexLevels' table and serves devices without one.
 func (d *Device) zonesByLevelSlow(m int, level Level) []int {
 	var out []int
 	for _, z := range d.Modules[m].Zones {
@@ -340,38 +323,34 @@ func (d *Device) OpticalZones() []int {
 }
 
 // IntraDistanceUM returns the physical shuttle distance between two zones of
-// the same module — an O(1) read of the precomputed distance matrix on
-// devices built by New or Grid.Device. It panics if the zones belong to
-// different modules: ions never physically travel between modules on an
-// EML-QCCD device (qubit state crosses modules only through fiber
-// entanglement), so asking for such a distance is a scheduler bug.
-//
-// The body is just the matrix probe; everything else — the cross-module
-// panic and the matrix-less fallback — lives in intraDistanceFallback,
-// which re-derives which of the two it is from the same state. (The probe
-// plus one call still costs 87 against the inliner's budget of 80, so the
-// function carries no //mussti:inline claim; the split keeps the cold
-// panic formatting out of the hot function body.)
+// the same module: the Manhattan hop count between their (Pos, Row)
+// coordinates times ZonePitchUM. It panics if the zones belong to different
+// modules: ions never physically travel between modules on an EML-QCCD
+// device (qubit state crosses modules only through fiber entanglement), so
+// asking for such a distance is a scheduler bug.
 //
 //mussti:hotpath
 func (d *Device) IntraDistanceUM(a, b int) float64 {
-	if d.dist != nil {
-		if v := d.dist[a*len(d.Zones)+b]; v >= 0 {
-			return v
-		}
+	za, zb := &d.Zones[a], &d.Zones[b]
+	if za.Module != zb.Module {
+		crossModule(za.Module, zb.Module)
 	}
-	return d.intraDistanceFallback(a, b)
+	return float64(absInt(za.Pos-zb.Pos)+absInt(za.Row-zb.Row)) * d.ZonePitchUM
 }
 
-// intraDistanceFallback is IntraDistanceUM's out-of-line tail: a negative
-// matrix entry means a cross-module query (panic), no matrix at all means a
-// first-principles computation on an unprepared device.
-func (d *Device) intraDistanceFallback(a, b int) float64 {
-	if d.dist == nil && d.Zones[a].Module == d.Zones[b].Module {
-		return d.intraDistanceSlow(a, b)
+// crossModule is IntraDistanceUM's panic, kept out of line: inlined, its
+// formatting would make IntraDistanceUM's arguments escape to the heap.
+//
+//go:noinline
+func crossModule(ma, mb int) {
+	panic(fmt.Sprintf("arch: intra-module distance across modules %d and %d", ma, mb))
+}
+
+func absInt(x int) int {
+	if x < 0 {
+		return -x
 	}
-	panic(fmt.Sprintf("arch: intra-module distance across modules %d and %d",
-		d.Zones[a].Module, d.Zones[b].Module))
+	return x
 }
 
 // LevelsDescending enumerates zone levels from highest to lowest.

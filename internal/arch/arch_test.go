@@ -1,9 +1,12 @@
 package arch
 
 import (
+	"math"
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"mussti/internal/circuit"
 )
 
 func TestLevelProperties(t *testing.T) {
@@ -66,6 +69,39 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestNewCaps checks every cap Validate puts on a build: the largest
+// configuration inside each is accepted, one step over is refused, and
+// factors large enough to overflow the zone-count product are refused
+// before it is formed.
+func TestNewCaps(t *testing.T) {
+	atCap := DefaultConfig(0)
+	atCap.Modules = MaxZones / 4 // four zones per module in the default layout
+	atCap.TrapCapacity = circuit.MaxQubits
+	atCap.OpticalCapacity = circuit.MaxQubits
+	d, err := New(atCap)
+	if err != nil {
+		t.Fatalf("config at every cap refused: %v", err)
+	}
+	if d.NumZones() != MaxZones {
+		t.Errorf("zones = %d, want %d", d.NumZones(), MaxZones)
+	}
+	over := map[string]func(*Config){
+		"modules":          func(c *Config) { c.Modules++ },
+		"storage zones":    func(c *Config) { c.Modules, c.StorageZones = 1, MaxZones },
+		"trap capacity":    func(c *Config) { c.TrapCapacity++ },
+		"optical capacity": func(c *Config) { c.OpticalCapacity++ },
+		"overflow":         func(c *Config) { c.Modules, c.StorageZones = 1<<32, 1<<32 },
+		"huge factor":      func(c *Config) { c.Modules = math.MaxInt },
+	}
+	for name, mutate := range over {
+		cfg := atCap
+		mutate(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s over its cap accepted: %+v", name, cfg)
+		}
+	}
+}
+
 func TestZonesByLevelAndOptical(t *testing.T) {
 	d := MustNew(DefaultConfig(128))
 	if got := len(d.OpticalZones()); got != 4 {
@@ -121,31 +157,26 @@ func TestIntraDistance(t *testing.T) {
 	if got := d.IntraDistanceUM(first, first); got != 0 {
 		t.Errorf("self distance = %v, want 0", got)
 	}
+	if a := testing.AllocsPerRun(100, func() { d.IntraDistanceUM(first, last) }); a != 0 {
+		t.Errorf("IntraDistanceUM allocates %v times per call", a)
+	}
 }
 
-func TestDistanceMatrixMatchesFallback(t *testing.T) {
-	// A device built by New answers from the precomputed matrix; a shallow
-	// copy with the matrix stripped takes the compute-per-call fallback.
-	// Every same-module pair must agree, and the fallback must keep the
-	// cross-module panic behaviour.
-	d := MustNew(DefaultConfig(64))
-	slow := *d
-	slow.dist = nil
-	for _, m := range d.Modules {
-		for _, a := range m.Zones {
-			for _, b := range m.Zones {
-				if got, want := d.IntraDistanceUM(a, b), slow.IntraDistanceUM(a, b); got != want {
-					t.Fatalf("matrix distance (%d,%d) = %v, fallback %v", a, b, got, want)
+// TestGridDeviceDistanceMatchesGrid checks that a grid-adapted device's
+// coordinate distance is the grid's hop count times the trap pitch, bit for
+// bit, for every trap pair of grids of both orientations.
+func TestGridDeviceDistanceMatchesGrid(t *testing.T) {
+	for _, g := range []*Grid{MustNewGrid(2, 3, 8), MustNewGrid(3, 2, 8), MustNewGrid(5, 5, 4)} {
+		d := g.Device()
+		for a := range g.NumTraps() {
+			for b := range g.NumTraps() {
+				got, want := d.IntraDistanceUM(a, b), float64(g.Distance(a, b))*g.TrapPitchUM
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v: device distance (%d,%d) = %v, grid %v", g, a, b, got, want)
 				}
 			}
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("fallback cross-module distance did not panic")
-		}
-	}()
-	slow.IntraDistanceUM(d.Modules[0].Zones[0], d.Modules[1].Zones[0])
 }
 
 func TestIntraDistancePanicsAcrossModules(t *testing.T) {

@@ -1,6 +1,9 @@
 package arch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Grid is the monolithic QCCD lattice the baseline compilers target: a
 // rows×cols array of uniform traps. Any trap may host two-qubit gates
@@ -14,15 +17,34 @@ type Grid struct {
 	TrapPitchUM float64
 }
 
-// NewGrid builds a rows×cols grid of traps with the given capacity.
+// NewGrid builds a rows×cols grid of traps with the given capacity. It
+// returns Validate's error for a grid that is empty or exceeds a cap.
 func NewGrid(rows, cols, capacity int) (*Grid, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("arch: grid dimensions must be positive, got %dx%d", rows, cols)
+	g := &Grid{Rows: rows, Cols: cols, Capacity: capacity, TrapPitchUM: 100}
+	if err := g.Validate(); err != nil {
+		return nil, err
 	}
-	if capacity < 2 {
-		return nil, fmt.Errorf("arch: trap capacity must be ≥2, got %d", capacity)
+	return g, nil
+}
+
+// Validate reports whether the grid is buildable: positive dimensions, at
+// most MaxZones traps, a trap capacity in [2, circuit.MaxQubits] and a
+// positive, finite pitch (a negative one would make shuttles shorten the
+// makespan). Each dimension is bounded before Rows × Cols is formed, so the
+// product cannot overflow. Grids that arrive as literals (the dist wire
+// decoder builds them so) are checked here before they become compile
+// targets.
+func (g *Grid) Validate() error {
+	if g.Rows <= 0 || g.Cols <= 0 {
+		return fmt.Errorf("arch: grid dimensions must be positive, got %dx%d", g.Rows, g.Cols)
 	}
-	return &Grid{Rows: rows, Cols: cols, Capacity: capacity, TrapPitchUM: 100}, nil
+	if g.Rows > MaxZones || g.Cols > MaxZones || g.Rows*g.Cols > MaxZones {
+		return fmt.Errorf("arch: grid %dx%d exceeds the %d-trap cap", g.Rows, g.Cols, MaxZones)
+	}
+	if !(g.TrapPitchUM > 0) || math.IsInf(g.TrapPitchUM, 1) {
+		return fmt.Errorf("arch: grid trap pitch must be positive and finite, got %g", g.TrapPitchUM)
+	}
+	return checkCapacity("grid trap", g.Capacity)
 }
 
 // MustNewGrid is NewGrid for known-good parameters; it panics on error.
@@ -89,22 +111,21 @@ func (g *Grid) Distance(a, b int) int {
 // core scheduler can drive a standard QCCD lattice directly — Table 2 of
 // the paper "appl[ies] MUSS-TI on these standard QCCD structures". The
 // whole grid becomes one module whose traps are uniform gate-capable
-// (operation-level) zones in row-major order; there is no optical zone, so
-// no fiber gates or SWAP insertion arise, and MUSS-TI's advantage comes
-// from scheduling alone.
+// (operation-level) zones in row-major order, each at its (column, row) as
+// (Pos, Row), so IntraDistanceUM is Distance times the trap pitch. There
+// is no optical zone, so no fiber gates or SWAP insertion arise, and
+// MUSS-TI's advantage comes from scheduling alone.
 func (g *Grid) Device() *Device {
-	d := &Device{TrapCapacity: g.Capacity, ZonePitchUM: g.TrapPitchUM, DistKey: g.CacheKey()}
+	d := &Device{TrapCapacity: g.Capacity, ZonePitchUM: g.TrapPitchUM}
 	mod := Module{ID: 0, MaxIons: g.TotalCapacity()}
 	for t := 0; t < g.NumTraps(); t++ {
-		z := Zone{ID: t, Module: 0, Level: LevelOperation, Capacity: g.Capacity, Pos: t}
+		row, col := g.RowCol(t)
+		z := Zone{ID: t, Module: 0, Level: LevelOperation, Capacity: g.Capacity, Pos: col, Row: row}
 		d.Zones = append(d.Zones, z)
 		mod.Zones = append(mod.Zones, z.ID)
 	}
 	d.Modules = []Module{mod}
-	d.DistUM = func(a, b int) float64 { return float64(g.Distance(a, b)) * g.TrapPitchUM }
-	// Freeze the lattice geometry into the O(1) distance matrix so the
-	// scheduler's cost loops never call back into the closure.
-	d.PrecomputeDistances()
+	d.indexLevels()
 	return d
 }
 

@@ -1,8 +1,11 @@
 package arch
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"mussti/internal/circuit"
 )
 
 func TestGridBasics(t *testing.T) {
@@ -28,6 +31,37 @@ func TestNewGridErrors(t *testing.T) {
 	}
 	if _, err := NewGrid(2, 2, 1); err == nil {
 		t.Error("capacity 1 accepted")
+	}
+}
+
+// TestGridCaps checks the grid caps at and one step over each bound, and
+// dimensions whose product overflows int.
+func TestGridCaps(t *testing.T) {
+	if _, err := NewGrid(64, 64, circuit.MaxQubits); err != nil {
+		t.Errorf("64x64 grid at the capacity cap refused: %v", err)
+	}
+	if _, err := NewGrid(1, MaxZones, 2); err != nil {
+		t.Errorf("1x%d grid refused: %v", MaxZones, err)
+	}
+	for _, g := range []Grid{
+		{Rows: 64, Cols: 65, Capacity: 8, TrapPitchUM: 100},
+		{Rows: 1, Cols: MaxZones + 1, Capacity: 8, TrapPitchUM: 100},
+		{Rows: 2, Cols: 2, Capacity: circuit.MaxQubits + 1, TrapPitchUM: 100},
+		{Rows: 1 << 32, Cols: 1 << 32, Capacity: 8, TrapPitchUM: 100},
+		{Rows: math.MaxInt, Cols: 2, Capacity: 8, TrapPitchUM: 100},
+	} {
+		if _, err := NewGrid(g.Rows, g.Cols, g.Capacity); err == nil {
+			t.Errorf("grid %dx%d capacity %d accepted", g.Rows, g.Cols, g.Capacity)
+		}
+		if err := g.Validate(); err == nil {
+			t.Errorf("literal grid %dx%d capacity %d validated", g.Rows, g.Cols, g.Capacity)
+		}
+	}
+	// Only a literal can carry a bad pitch: NewGrid sets 100.
+	for _, pitch := range []float64{-100, 0, math.NaN(), math.Inf(1)} {
+		if err := (&Grid{Rows: 2, Cols: 2, Capacity: 8, TrapPitchUM: pitch}).Validate(); err == nil {
+			t.Errorf("grid with pitch %v validated", pitch)
+		}
 	}
 }
 

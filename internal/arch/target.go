@@ -2,7 +2,6 @@ package arch
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 )
 
@@ -34,35 +33,21 @@ var (
 func (d *Device) QubitCapacity() int { return d.Capacity() }
 
 // CacheKey implements Target: a deterministic rendering of every structural
-// field (zones, levels, capacities, module caps, pitch). A custom DistUM is
-// keyed by the builder-supplied DistKey (the grid adapter stamps the source
-// grid's key there); when a builder set DistUM but no DistKey, the key
-// digests the full intra-module distance matrix instead — the matrix is the
-// function's entire observable behaviour, so devices differing only in
-// distance geometry can never collide.
+// field (zones, levels, capacities, coordinates, module caps, pitch). The
+// coordinates are the whole distance geometry, so devices differing only in
+// shape (a 2x3 vs a 3x2 grid adapter) get different keys. A zone renders as
+// "id:level/capacity@pos", with ",row" appended when its row is not 0.
 func (d *Device) CacheKey() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "eml{cap=%d pitch=%g", d.TrapCapacity, d.ZonePitchUM)
-	if d.DistUM != nil {
-		key := d.DistKey
-		if key == "" {
-			h := fnv.New64a()
-			for _, m := range d.Modules {
-				for _, za := range m.Zones {
-					for _, zb := range m.Zones {
-						fmt.Fprintf(h, "%g,", d.DistUM(za, zb))
-					}
-				}
-			}
-			key = fmt.Sprintf("fnv:%016x", h.Sum64())
-		}
-		fmt.Fprintf(&b, " customdist(%s)", key)
-	}
 	for _, m := range d.Modules {
 		fmt.Fprintf(&b, " m%d[max=%d", m.ID, m.MaxIons)
 		for _, id := range m.Zones {
 			z := d.Zones[id]
 			fmt.Fprintf(&b, " %d:%s/%d@%d", z.ID, z.Level, z.Capacity, z.Pos)
+			if z.Row != 0 {
+				fmt.Fprintf(&b, ",%d", z.Row)
+			}
 		}
 		b.WriteByte(']')
 	}

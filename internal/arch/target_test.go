@@ -1,9 +1,6 @@
 package arch
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestTargetQubitCapacity(t *testing.T) {
 	var targets = []struct {
@@ -39,26 +36,20 @@ func TestTargetCacheKeys(t *testing.T) {
 		}
 		keys[k] = name
 	}
-	// The grid's Device adapter stamps the source grid's geometry into the
-	// key, so it aliases neither a segment-distance device of the same
-	// shape nor another grid with the same zone structure but different
-	// distance geometry (2x3 vs 3x2: same six traps, different hop counts).
-	if k := MustNewGrid(2, 3, 8).Device().CacheKey(); !strings.Contains(k, "customdist") {
-		t.Errorf("grid-adapted device key lacks customdist marker: %q", k)
-	}
+	// The grid's Device adapter keys its zones' coordinates, so grids with
+	// the same six traps but different hop counts (2x3 vs 3x2) differ.
 	if a, b := MustNewGrid(2, 3, 8).Device().CacheKey(), MustNewGrid(3, 2, 8).Device().CacheKey(); a == b {
 		t.Errorf("devices with different grid geometry share key %q", a)
 	}
-	// Even without a DistKey, custom-distance devices differing only in
-	// geometry must not collide: the key falls back to digesting the
-	// distance matrix itself.
-	d1, d2 := MustNewGrid(2, 3, 8).Device(), MustNewGrid(3, 2, 8).Device()
-	d1.DistKey, d2.DistKey = "", ""
-	if a, b := d1.CacheKey(), d2.CacheKey(); a == b {
-		t.Errorf("unkeyed custom-distance devices share key %q", a)
-	}
-	if a, b := d1.CacheKey(), d1.CacheKey(); a != b {
-		t.Errorf("distance-matrix digest not deterministic: %q vs %q", a, b)
+}
+
+// TestDeviceCacheKeyPinned pins an EML-QCCD device key byte for byte: the
+// service and the disk cache persist keys built from it.
+func TestDeviceCacheKeyPinned(t *testing.T) {
+	cfg := Config{Modules: 2, TrapCapacity: 8, StorageZones: 1, OperationZones: 1, OpticalZones: 1, OpticalCapacity: 4, MaxIonsPerModule: 12}
+	want := "eml{cap=8 pitch=100 m0[max=12 0:storage/8@0 1:operation/8@1 2:optical/4@2] m1[max=12 3:storage/8@0 4:operation/8@1 5:optical/4@2]}"
+	if got := MustNew(cfg).CacheKey(); got != want {
+		t.Errorf("key = %q, want %q", got, want)
 	}
 }
 

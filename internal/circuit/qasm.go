@@ -216,6 +216,16 @@ func parseGateApplication(c *Circuit, stmt string) error {
 		if len(qubits) != 3 {
 			return fmt.Errorf("ccx expects 3 operands, got %d", len(qubits))
 		}
+		// Toffoli appends through Append, which panics on a bad operand;
+		// refuse one here as an input error instead.
+		for _, q := range qubits {
+			if q < 0 || q >= c.NumQubits {
+				return fmt.Errorf("in %q: qubit %d out of range [0,%d)", stmt, q, c.NumQubits)
+			}
+		}
+		if qubits[0] == qubits[1] || qubits[0] == qubits[2] || qubits[1] == qubits[2] {
+			return fmt.Errorf("in %q: identical operands", stmt)
+		}
 		c.Toffoli(qubits[0], qubits[1], qubits[2])
 		return nil
 	}

@@ -127,6 +127,9 @@ func TestParseQASMErrors(t *testing.T) {
 		"double qreg":    "qreg q[2];\nqreg r[2];",
 		"unclosed param": "qreg q[2];\nrz(1.0 q[0];",
 		"same operands":  "qreg q[2];\ncx q[1],q[1];",
+		"ccx range":      "qreg q[2];\nccx q[0],q[1],q[5];",
+		"ccx before reg": "ccx q[0],q[1],q[2];\nqreg q[3];",
+		"ccx same":       "qreg q[3];\nccx q[0],q[2],q[2];",
 	}
 	for name, src := range cases {
 		if _, err := ParseQASM(name, strings.NewReader(src)); err == nil {
@@ -286,4 +289,28 @@ func TestParseQASMAllocatesWithInput(t *testing.T) {
 	if got := (after.TotalAlloc - before.TotalAlloc) / runs; got > 128<<10 {
 		t.Errorf("parsing a %d-byte source allocates %d B per call, want under 128 KiB", len(src), got)
 	}
+}
+
+// FuzzParseQASM is the parser's robustness fuzz target: arbitrary source
+// either fails to parse or yields a circuit within the qubit cap whose every
+// operand indexes its register, and nothing panics. The seed corpus under
+// testdata/fuzz mixes valid programs with out-of-range operands, over-cap
+// registers and unsupported statements.
+func FuzzParseQASM(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := ParseQASM("fuzz", strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		if c.NumQubits < 1 || c.NumQubits > MaxQubits {
+			t.Fatalf("accepted a %d-qubit register", c.NumQubits)
+		}
+		for i, g := range c.Gates {
+			for _, q := range g.Qubits[:g.Kind.Arity()] {
+				if q < 0 || q >= c.NumQubits {
+					t.Fatalf("gate %d %v: operand %d outside [0,%d)", i, g, q, c.NumQubits)
+				}
+			}
+		}
+	})
 }

@@ -127,22 +127,6 @@ func TestExperimentRegistry(t *testing.T) {
 	}
 }
 
-func TestEmlConfigClampsOptical(t *testing.T) {
-	cfg := emlConfig(4, 8)
-	if cfg.Modules != 4 || cfg.TrapCapacity != 8 {
-		t.Errorf("emlConfig = %+v", cfg)
-	}
-	d, err := arch.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, z := range d.OpticalZones() {
-		if d.Zone(z).Capacity > 8 {
-			t.Errorf("optical capacity %d exceeds trap capacity 8", d.Zone(z).Capacity)
-		}
-	}
-}
-
 func TestTable2ShapeHolds(t *testing.T) {
 	// Re-derive one Table 2 row and check the paper's ordering: MUSS-TI
 	// fewest shuttles, MQT most.

@@ -62,6 +62,11 @@ type CompileSpec struct {
 // default EML configuration when Arch is zero.
 func (s CompileSpec) target(numQubits int) (arch.Target, error) {
 	if s.Grid != nil {
+		// A grid from outside (the dist decoder builds it as a literal)
+		// has not been through NewGrid's checks.
+		if err := s.Grid.Validate(); err != nil {
+			return nil, err
+		}
 		return s.Grid, nil
 	}
 	cfg := s.Arch
@@ -104,19 +109,6 @@ func MeasurementOf(app string, comp core.Compiler, c *circuit.Circuit, res *core
 		Log10F:        m.Fidelity.Log10(),
 		CompileTime:   res.CompileTime,
 	}
-}
-
-// emlConfig builds the EML-QCCD configuration MUSS-TI uses when the paper
-// pins a module count and trap capacity (Table 2, Fig. 6): `modules`
-// modules of the standard 2-storage/1-operation/1-optical layout.
-func emlConfig(modules, capacity int) arch.Config {
-	cfg := arch.DefaultConfig(0)
-	cfg.Modules = modules
-	cfg.TrapCapacity = capacity
-	if cfg.OpticalCapacity > capacity {
-		cfg.OpticalCapacity = capacity
-	}
-	return cfg
 }
 
 // idealParams returns Table-1 physics with the Fig. 13 idealisation

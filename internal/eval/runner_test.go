@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,6 +116,43 @@ func TestRunnerCancelledMidRun(t *testing.T) {
 	// Drain the start signals of compiles that began before the cancel.
 	for len(blockCompiler.started) > 0 {
 		<-blockCompiler.started
+	}
+}
+
+// countingCompiler is a registry compiler that counts its compiles and
+// refuses every one.
+type countingCompiler struct{ calls *atomic.Int64 }
+
+func (countingCompiler) Name() string { return "eval-count-test" }
+
+func (c countingCompiler) Compile(context.Context, *circuit.Circuit, arch.Target, *core.CompileConfig) (*core.Result, error) {
+	c.calls.Add(1)
+	return nil, errors.New("eval-count-test compiles nothing")
+}
+
+var countCompiler = countingCompiler{calls: new(atomic.Int64)}
+
+func init() { core.MustRegisterCompiler(countCompiler) }
+
+// TestRunJobRejectsInvalidGrid: a grid spec that skipped NewGrid (as the
+// dist decoder's literal does) is validated where it becomes a target, so an
+// over-cap or malformed grid errors before any compiler sees it.
+func TestRunJobRejectsInvalidGrid(t *testing.T) {
+	before := countCompiler.calls.Load()
+	for _, g := range []*arch.Grid{
+		{Rows: 1_000_000, Cols: 1_000_000, Capacity: 16, TrapPitchUM: 100},
+		{Rows: 2, Cols: 2, Capacity: circuit.MaxQubits + 1, TrapPitchUM: 100},
+		{Rows: 0, Cols: 4, Capacity: 16, TrapPitchUM: 100},
+		{Rows: 2, Cols: 2, Capacity: 16, TrapPitchUM: -100},
+	} {
+		spec := CompileSpec{App: "GHZ_n4", Compiler: countCompiler.Name(), Grid: g}
+		_, err := NewRunner(1).RunJob(context.Background(), Job{Spec: spec})
+		if err == nil || !strings.Contains(err.Error(), "grid") {
+			t.Errorf("grid %dx%d capacity %d: err = %v, want a grid validation error", g.Rows, g.Cols, g.Capacity, err)
+		}
+	}
+	if n := countCompiler.calls.Load() - before; n != 0 {
+		t.Errorf("%d compiles ran for invalid grids", n)
 	}
 }
 

@@ -132,7 +132,9 @@ func applyConfig(base core.CompileConfig, req *configRequest) (core.CompileConfi
 	return base, nil
 }
 
-// archConfig lifts the request's device shape into an arch.Config.
+// config lifts the request's device shape into an arch.Config and
+// validates it, so a device arch.New would refuse, or one over a cap, is a
+// 400 before admission on every request path.
 func (r *archRequest) config() (arch.Config, error) {
 	if r.Modules <= 0 {
 		return arch.Config{}, badRequestf("arch.modules must be positive (omit arch entirely for the paper default)")
@@ -147,6 +149,9 @@ func (r *archRequest) config() (arch.Config, error) {
 	}
 	if r.OpticalZones > 0 {
 		cfg.OpticalZones = r.OpticalZones
+	}
+	if err := cfg.Validate(); err != nil {
+		return arch.Config{}, badRequest{err}
 	}
 	return cfg, nil
 }

@@ -513,7 +513,16 @@ func TestBadRequests(t *testing.T) {
 		{"partial arch", `{"app":"GHZ_n4","arch":{"trap_capacity":8}}`},
 		{"bad qasm", `{"qasm":"qreg q[2]; banana q[0];"}`},
 		{"qasm over qubit cap", `{"qasm":"qreg q[1000000000];"}`},
+		{"qasm ccx out of range", `{"qasm":"qreg q[2]; ccx q[0],q[1],q[5];"}`},
 		{"app over qubit cap", `{"app":"qft_n1000000"}`},
+		{"app with unbuildable arch", `{"app":"GHZ_n32","arch":{"modules":4,"trap_capacity":1}}`},
+		{"modules over cap", `{"app":"GHZ_n4","arch":{"modules":1025}}`},
+		{"qasm modules over cap", `{"qasm":"qreg q[2]; cx q[0],q[1];","arch":{"modules":1025}}`},
+		{"trap capacity over cap", `{"app":"GHZ_n4","arch":{"modules":4,"trap_capacity":1025}}`},
+		{"optical capacity over cap", `{"app":"GHZ_n4","arch":{"modules":4,"optical_capacity":1025}}`},
+		{"grid over cap", `{"app":"GHZ_n4","grid":{"rows":64,"cols":65,"capacity":4}}`},
+		{"grid capacity over cap", `{"qasm":"qreg q[2]; cx q[0],q[1];","grid":{"rows":2,"cols":2,"capacity":1025}}`},
+		{"grid overflow", `{"app":"GHZ_n4","grid":{"rows":4294967296,"cols":4294967296,"capacity":4}}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -531,6 +540,25 @@ func TestBadRequests(t *testing.T) {
 	}
 	if snap := getMetrics(t, ts.URL); snap.Requests != 0 {
 		t.Errorf("bad requests were admitted: requests = %d", snap.Requests)
+	}
+}
+
+// TestRequestsAtCapsCompile: a device at each cap — 1024 modules of the
+// default four-zone layout, a 64x64 grid, the largest trap capacity — is
+// admitted and compiles.
+func TestRequestsAtCapsCompile(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	const qasm = `"qasm":"qreg q[2]; h q[0]; cx q[0],q[1];"`
+	for _, body := range []string{
+		`{` + qasm + `,"arch":{"modules":1024}}`,
+		`{` + qasm + `,"arch":{"modules":4,"trap_capacity":1024,"optical_capacity":1024}}`,
+		`{` + qasm + `,"grid":{"rows":64,"cols":64,"capacity":1024}}`,
+	} {
+		resp, done := postCompile(t, ts.URL, body)
+		if ev := decodeDone(t, resp); ev.Result.Qubits != 2 {
+			t.Errorf("%s: result %+v", body, ev.Result)
+		}
+		done()
 	}
 }
 
